@@ -15,7 +15,7 @@ from .syntax import (
     subformula_instances, ParseError,
 )
 from .model import (
-    Model, Assignment, Team, ModelError, eval_term, all_teams, enumerate_teams,
+    Model, Assignment, Team, ModelError, eval_term, all_teams,
 )
 from .semantics import (
     Mode, Budget, Verdict, BudgetExceeded, satisfies, satisfies_sentence,

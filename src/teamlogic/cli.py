@@ -55,10 +55,17 @@ def _load_model(args):
     raise UsageError("either --model or --domain is required")
 
 
-def _load_team(args):
+def _load_team(args, model):
     if args.team is None:
         return None
-    return Team.load(args.team)
+    team = Team.load(args.team)
+    domain = set(model.domain)
+    for row in team.rows:
+        for var, value in row.items():
+            if value not in domain:
+                raise ModelError("team value %r for %s is not in the domain"
+                                 % (value, var))
+    return team
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +74,7 @@ def _load_team(args):
 
 def cmd_check(args):
     model = _load_model(args)
-    team = _load_team(args)
+    team = _load_team(args, model)
     phi = parse(args.formula)
     if team is None:
         verdict = satisfies_sentence(model, phi, _mode(args), _budget(args))
@@ -87,7 +94,7 @@ def cmd_check(args):
 
 def cmd_game(args):
     model = _load_model(args)
-    team = _load_team(args)
+    team = _load_team(args, model)
     if team is None:
         raise UsageError("game needs a --team file")
     phi = parse(args.formula)
@@ -420,6 +427,9 @@ def main(argv=None):
     except BudgetExceeded:
         print("budget_exceeded", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

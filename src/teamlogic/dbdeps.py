@@ -200,7 +200,7 @@ def check_dependency(relation, dep, universe=None):
                 return False
         return True
     if isinstance(dep, (Tgd, Egd)):
-        return _check_generating(relation, dep, universe)
+        return find_violation(relation, dep, universe) is None
     raise DependencyError("unknown dependency kind: %r" % (dep,))
 
 
@@ -218,32 +218,6 @@ def _atom_holds(relation, atom, valuation):
     if atom[0] == "A":
         return tuple(valuation[v] for v in atom[1]) in relation.tuples
     return valuation[atom[1]] == valuation[atom[2]]
-
-
-def _check_generating(relation, dep, universe):
-    domain = list(universe) if universe else relation.active_domain()
-    if not domain:
-        return True
-    body_vars = _body_vars(dep.body)
-    for values in itertools.product(domain, repeat=len(body_vars)):
-        valuation = dict(zip(body_vars, values))
-        if not all(_atom_holds(relation, a, valuation) for a in dep.body):
-            continue
-        if isinstance(dep, Egd):
-            if valuation[dep.left] != valuation[dep.right]:
-                return False
-            continue
-        extra = [v for v in dep.head_vars if v not in valuation]
-        found = False
-        for wit in itertools.product(domain, repeat=len(extra)):
-            candidate = dict(valuation)
-            candidate.update(zip(extra, wit))
-            if all(_atom_holds(relation, a, candidate) for a in dep.head):
-                found = True
-                break
-        if not found:
-            return False
-    return True
 
 
 def find_violation(relation, dep, universe=None):

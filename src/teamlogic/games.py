@@ -20,10 +20,10 @@ against the semantics module.
 
 import itertools
 
-from .model import Assignment, eval_term
+from .model import eval_term
 from .syntax import (
-    And, Or, Exists, Forall, RelAtom, Equality, InclAtom, ExclAtom,
-    LITERALS, ATOMS, render,
+    And, Or, Exists, Forall, InclAtom, ExclAtom,
+    LITERALS, ATOMS, render, subformula_instances,
 )
 from .semantics import Budget, BudgetExceeded, tarski
 
@@ -46,7 +46,7 @@ class Arena:
     """Immutable game graph built from a model, team and formula."""
 
     def __init__(self, model, team, formula, position_cap=DEFAULT_POSITION_CAP):
-        for _path, sub in _subformulas(formula):
+        for _path, sub in subformula_instances(formula):
             if isinstance(sub, ATOMS) and not isinstance(
                     sub, LITERALS + (InclAtom, ExclAtom)):
                 raise ArenaError(
@@ -54,7 +54,7 @@ class Arena:
                     % render(sub))
         self.model = model
         self.formula = formula
-        self.subformula = dict(_subformulas(formula))
+        self.subformula = dict(subformula_instances(formula))
         self.initial = tuple(sorted(
             (((), row) for row in team.rows), key=_position_key))
         self.successors = {}
@@ -91,15 +91,6 @@ class Arena:
         if isinstance(sub, (InclAtom, ExclAtom)):
             return PLAYER_II
         return PLAYER_II if tarski(self.model, s, sub) else PLAYER_I
-
-
-def _subformulas(formula, path=()):
-    yield path, formula
-    if isinstance(formula, (And, Or)):
-        yield from _subformulas(formula.left, path + (0,))
-        yield from _subformulas(formula.right, path + (1,))
-    elif isinstance(formula, (Exists, Forall)):
-        yield from _subformulas(formula.body, path + (0,))
 
 
 def build_arena(model, team, formula, position_cap=DEFAULT_POSITION_CAP):
@@ -185,12 +176,6 @@ def _uniformity_ok(arena, reached):
 
 def is_uniform(arena, tau):
     return _uniformity_ok(arena, reachable_under(arena, tau))
-
-
-def is_winning(arena, tau):
-    return all(arena.terminal_winner(p) == PLAYER_II
-               for p in reachable_under(arena, tau)
-               if arena.is_terminal(p))
 
 
 def _has_exclusion(arena):

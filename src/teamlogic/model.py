@@ -281,17 +281,23 @@ class Team:
 
     @classmethod
     def from_json_dict(cls, data):
+        """A team from {"vars": [...], "rows": [[...], ...]}, each row a
+        list of domain elements, one per variable."""
+        for key in ("vars", "rows"):
+            if not isinstance(data, dict) or not isinstance(data.get(key), list):
+                raise ModelError('team JSON needs a "%s" list' % key)
+        width = len(data["vars"])
+        for row in data["rows"]:
+            if not isinstance(row, list) or len(row) != width \
+                    or not all(isinstance(value, str) for value in row):
+                raise ModelError("team row %s is not a list of %d strings"
+                                 % (json.dumps(row), width))
         return cls.from_tuples(data["vars"], data["rows"])
 
     @classmethod
     def load(cls, path):
         with open(path) as handle:
             return cls.from_json_dict(json.load(handle))
-
-
-def enumerate_teams(model, variables, max_rows=None, min_rows=0):
-    """Every team over the model's domain, by increasing row count."""
-    return all_teams(variables, model.domain, max_rows, min_rows)
 
 
 def all_teams(variables, domain, max_rows=None, min_rows=0):

@@ -5,9 +5,14 @@ cover (lax) or a partition (strict); existentials extend each row with a
 nonempty value set (lax) or a single value (strict); universals extend
 with every value.  Atoms are checked directly over the team.
 
-Naive enumeration of splits and witness functions is exponential, so the
-evaluator layers several exact shortcuts on top of a budgeted
-backtracking search:
+Naive enumeration of splits and witness functions is exponential.  Every
+choice that no shortcut settles goes through one budgeted backtracking core,
+Evaluator._backtrack, which picks one option per slot depth first: a
+side for each row of a disjunction, a witness value (strict) or value
+set (lax) for each row of an existential, or a side-eligibility profile
+for each class of a pinned block.  The two modes differ only in the
+options they offer and in how a complete pick is judged.  On top of the
+core the evaluator layers several exact shortcuts:
 
 * first order subformulas are flat and get checked row by row;
 * formulas over {FO, incl, equi} are closed under unions in lax mode, so
@@ -31,7 +36,7 @@ from .model import Team, eval_term
 from .syntax import (
     And, Or, Exists, Forall, Name,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
-    LITERALS, ATOMS, free_names, is_first_order, term_names,
+    LITERALS, ATOMS, conjoin, free_names, is_first_order, term_names,
 )
 
 
@@ -309,20 +314,48 @@ class Evaluator:
             return rows
         raise ValueError("not union closed: %r" % (phi,))
 
+    # -- the search core ----------------------------------------------------
+
+    def _backtrack(self, nbuckets, slots, fits, done):
+        """Depth-first choice of one option per slot.
+
+        slots lists, in search order, the options of each slot; an option
+        is a tuple of (bucket, row) additions.  fits(buckets, option), if
+        given, may reject a partial pick right after it is made, and
+        done(buckets) judges a complete one.  Buckets are lists: when two
+        options add the same row, undoing one keeps the other's copy.
+        """
+        buckets = [[] for _ in range(nbuckets)]
+
+        def pick(pos):
+            self.tick()
+            if pos == len(slots):
+                return done(buckets)
+            for option in slots[pos]:
+                for bucket, row in option:
+                    buckets[bucket].append(row)
+                if (fits is None or fits(buckets, option)) and pick(pos + 1):
+                    return True
+                for bucket, _row in option:
+                    buckets[bucket].pop()
+            return False
+
+        return pick(0)
+
     # -- disjunction --------------------------------------------------------
 
     def _split_side(self, side):
-        """Split a disjunct into its flat conjuncts and the rest."""
+        """A disjunct's flat conjuncts and the conjunction of the rest."""
         flat, rest = [], []
         for conjunct in flatten_and(side):
             (flat if is_first_order(conjunct) else rest).append(conjunct)
-        return flat, rest
+        return flat, (conjoin(rest) if rest else None)
 
     def _sat_or(self, phi, team):
         sides = [self._split_side(side) for side in flatten_or(phi)]
         rows = team.sorted_rows()
         eligible = []  # per side: set of rows passing its flat conjuncts
-        for flat, _rest in sides:
+        for flat, _body in sides:
             eligible.append({row for row in rows
                              if all(tarski(self.model, row, c) for c in flat)})
         if any(all(row not in e for e in eligible) for row in rows):
@@ -333,15 +366,14 @@ class Evaluator:
 
     def _sat_or_lax(self, sides, eligible, team, rows):
         covered = set()
-        special = []  # (index, rest-formula) for sides needing a search
-        for i, (_flat, rest) in enumerate(sides):
-            if not rest:
+        special = []  # (index, body) for sides needing a search
+        for i, (_flat, body) in enumerate(sides):
+            if body is None:
                 covered |= eligible[i]
-            elif all(is_union_closed(c) for c in rest):
-                body = rest[0] if len(rest) == 1 else And(rest[0], _reconjoin(rest[1:]))
+            elif is_union_closed(body):
                 covered |= self.largest_subteam(body, team.with_rows(eligible[i]))
             else:
-                special.append((i, _reconjoin(rest)))
+                special.append((i, body))
         mandatory = [row for row in rows if row not in covered]
         if not special:
             return not mandatory
@@ -351,29 +383,20 @@ class Evaluator:
         # Each still-uncovered row must go to one special side; special
         # sides may additionally pick up any of their other eligible rows
         # (lax splits can overlap, so sides are independent here).
-        options = []
+        slots = []
         for row in mandatory:
-            opts = [i for i, (idx, _r) in enumerate(special) if row in eligible[idx]]
+            opts = [((k, row),) for k, (idx, _body) in enumerate(special)
+                    if row in eligible[idx]]
             if not opts:
                 return False
-            options.append(opts)
-        order = sorted(range(len(mandatory)), key=lambda j: len(options[j]))
-
-        def assign(pos, chosen):
-            self.tick()
-            if pos == len(order):
-                return all(self._side_holds(idx, rest,
-                                            frozenset(chosen[k]), eligible[idx], team)
-                           for k, (idx, rest) in enumerate(special))
-            j = order[pos]
-            for i in options[j]:
-                chosen[i].add(mandatory[j])
-                if assign(pos + 1, chosen):
-                    return True
-                chosen[i].discard(mandatory[j])
-            return False
-
-        return assign(0, [set() for _ in special])
+            slots.append(opts)
+        slots.sort(key=len)
+        return self._backtrack(
+            len(special), slots, None,
+            lambda chosen: all(
+                self._side_holds(idx, body, frozenset(chosen[k]),
+                                 eligible[idx], team)
+                for k, (idx, body) in enumerate(special)))
 
     def _side_holds(self, idx, rest, assigned, elig, team):
         """Can a special side's team include `assigned` and satisfy it?"""
@@ -392,35 +415,23 @@ class Evaluator:
         return False
 
     def _sat_or_strict(self, sides, eligible, team, rows):
-        options = []
-        for row in rows:
-            opts = [i for i in range(len(sides)) if row in eligible[i]]
-            options.append(opts)
-        order = sorted(range(len(rows)), key=lambda j: len(options[j]))
-        downward = [all(is_first_order(c) or isinstance(c, (DepAtom, ExclAtom))
-                        for c in rest) for _flat, rest in sides]
+        slots = sorted(([((i, row),) for i, elig in enumerate(eligible) if row in elig]
+                        for row in rows), key=len)
+        # Sides over {FO, dep, excl} atoms are pruned as they grow.
+        downward = [body is not None
+                    and all(is_first_order(c) or isinstance(c, (DepAtom, ExclAtom))
+                            for c in flatten_and(body))
+                    for _flat, body in sides]
 
-        def assign(pos, chosen):
-            self.tick()
-            if pos == len(order):
-                for i, (_flat, rest) in enumerate(sides):
-                    if rest and chosen[i]:
-                        if not self.sat(_reconjoin(rest), team.with_rows(chosen[i])):
-                            return False
-                return True
-            j = order[pos]
-            for i in options[j]:
-                chosen[i].add(rows[j])
-                _flat, rest = sides[i]
-                # Downward-closed sides can be pruned as they grow.
-                if not rest or not downward[i] or \
-                        self.sat(_reconjoin(rest), team.with_rows(chosen[i])):
-                    if assign(pos + 1, chosen):
-                        return True
-                chosen[i].discard(rows[j])
-            return False
+        def fits(chosen, option):
+            i = option[0][0]
+            return not downward[i] or self.sat(sides[i][1], team.with_rows(chosen[i]))
 
-        return assign(0, [set() for _ in sides])
+        return self._backtrack(
+            len(sides), slots, fits,
+            lambda chosen: all(self.sat(body, team.with_rows(chosen[i]))
+                               for i, (_flat, body) in enumerate(sides)
+                               if body is not None and chosen[i]))
 
     # -- existentials -------------------------------------------------------
 
@@ -492,10 +503,10 @@ class Evaluator:
         sides = []
         if or_conj is not None:
             for side in flatten_or(or_conj):
-                flat, rest = self._split_side(side)
-                if any(free_names(r) & blockset for r in rest):
+                flat, side_body = self._split_side(side)
+                if side_body is not None and free_names(side_body) & blockset:
                     return None
-                sides.append((flat, rest))
+                sides.append((flat, side_body))
 
         # Residual block-free conjuncts see the same team up to the new
         # columns, which lax satisfaction ignores.
@@ -503,15 +514,17 @@ class Evaluator:
             return False
 
         model = self.model
+        rows = team.sorted_rows()
         classes = {}
-        for row in team.sorted_rows():
+        for row in rows:
             key = tuple(eval_term(model, row, t) for t in pin_tuple)
             classes.setdefault(key, []).append(row)
 
         # Per class, the usable value choices collapse to their maximal
-        # side-eligibility profiles.
+        # side-eligibility profiles; a class's option adds each member
+        # row to every side its profile allows.
         k = len(block)
-        profiles = []
+        slots = []
         for key, members in classes.items():
             cand = []
             for values in itertools.product(model.domain, repeat=k):
@@ -525,7 +538,7 @@ class Evaluator:
                 profile = []
                 ok = True
                 for e in ext:
-                    elig = frozenset(i for i, (flat, _rest) in enumerate(sides)
+                    elig = frozenset(i for i, (flat, _body) in enumerate(sides)
                                      if all(tarski(model, e, c) for c in flat))
                     if not elig:
                         ok = False
@@ -536,34 +549,17 @@ class Evaluator:
             cand = _maximal_profiles(cand)
             if not cand:
                 return False
-            profiles.append((members, cand))
+            slots.append([tuple((i, row) for row, elig in zip(members, profile)
+                                for i in elig)
+                          for profile in cand])
         if not sides:
             return True
-
-        def choose(pos, elig_map):
-            self.tick()
-            if pos == len(profiles):
-                return self._resolve_cover(sides, elig_map, team)
-            members, cand = profiles[pos]
-            for profile in cand:
-                for row, elig in zip(members, profile):
-                    for i in elig:
-                        elig_map[i].add(row)
-                if choose(pos + 1, elig_map):
-                    return True
-                for row, elig in zip(members, profile):
-                    for i in elig:
-                        elig_map[i].discard(row)
-            return False
-
-        return choose(0, [set() for _ in sides])
-
-    def _resolve_cover(self, sides, eligible, team):
-        """Lax cover search given per-side eligible row sets."""
-        rows = team.sorted_rows()
-        if any(all(row not in e for e in eligible) for row in rows):
-            return False
-        return self._sat_or_lax(sides, eligible, team, rows)
+        # Every profile gives each member some side, so each complete
+        # pick already covers the team and only the cover search is left.
+        return self._backtrack(
+            len(sides), slots, None,
+            lambda elig_map: self._sat_or_lax(
+                sides, [set(e) for e in elig_map], team, rows))
 
     def _sat_exists_one(self, var, rest, team):
         model = self.model
@@ -586,52 +582,31 @@ class Evaluator:
                       and is_downward_closed(c)
                       and not (free_names(c) & inner_block)]
 
-        rows = team.sorted_rows()
-        candidates = []
-        for row in rows:
+        slots = []
+        for row in team.sorted_rows():
             cand = [m for m in model.domain
                     if all(tarski(model, _extend_many(row, (var,), (m,)), c)
                            for c in filters)]
             if not cand:
                 return False
-            candidates.append(cand)
-        order = sorted(range(len(rows)), key=lambda j: len(candidates[j]))
+            if self.mode is Mode.STRICT:
+                picks = [(m,) for m in cand]
+            else:
+                picks = [c for size in range(1, len(cand) + 1)
+                         for c in itertools.combinations(cand, size)]
+            slots.append([tuple((0, row.extended(var, m)) for m in values)
+                          for values in picks])
+        slots.sort(key=len)
         new_vars = team.variables if var in team.variables else team.variables + (var,)
 
-        if self.mode is Mode.STRICT:
-            choices_for = lambda cand: [[m] for m in cand]
-        else:
-            def choices_for(cand):
-                out = []
-                for size in range(1, len(cand) + 1):
-                    out.extend(list(c) for c in itertools.combinations(cand, size))
-                return out
+        def fits(extended, _option):
+            partial = Team(new_vars, extended[0])
+            return all(check_atom(model, partial, c) for c in pruners) \
+                and all(self.sat(c, partial) for c in dc_pruners)
 
-        def assign(pos, extended):
-            self.tick()
-            if pos == len(order):
-                return self.sat(rest, Team(new_vars, extended))
-            j = order[pos]
-            row = rows[j]
-            for values in choices_for(candidates[j]):
-                new = [row.extended(var, m) for m in values]
-                extended.extend(new)
-                partial = Team(new_vars, extended)
-                if all(check_atom(model, partial, c) for c in pruners) \
-                        and all(self.sat(c, partial) for c in dc_pruners):
-                    if assign(pos + 1, extended):
-                        return True
-                del extended[-len(new):]
-            return False
-
-        return assign(0, [])
-
-
-def _reconjoin(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+        return self._backtrack(
+            1, slots, fits,
+            lambda extended: self.sat(rest, Team(new_vars, extended[0])))
 
 
 def _conjunct_cost(phi):

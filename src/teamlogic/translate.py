@@ -15,14 +15,13 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .model import Team, eval_term
 from .syntax import (
     And, Or, Exists, Forall, Name, App,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
     ATOMS, LITERALS,
     conjoin, disjoin, exists_block, forall_block,
     free_names, term_names, is_first_order, negate_nnf, render, substitute,
-    substitute_term, fresh_vars,
+    subformula_instances, substitute_term, fresh_vars,
 )
 from .semantics import Budget, BudgetExceeded, tarski
 
@@ -69,18 +68,10 @@ def _is_constancy(phi):
     return isinstance(phi, DepAtom) and len(phi.args) == 1
 
 
-def _find_constancy(phi, path=()):
+def _find_constancy(phi):
     """Pre-order path of the first constancy atom, or None."""
-    if _is_constancy(phi):
-        return path
-    if isinstance(phi, (And, Or)):
-        hit = _find_constancy(phi.left, path + (0,))
-        if hit is not None:
-            return hit
-        return _find_constancy(phi.right, path + (1,))
-    if isinstance(phi, (Exists, Forall)):
-        return _find_constancy(phi.body, path + (0,))
-    return None
+    return next((path for path, sub in subformula_instances(phi)
+                 if _is_constancy(sub)), None)
 
 
 def _replace_at(phi, path, replacement):
@@ -257,18 +248,11 @@ _ATOM_KIND = {DepAtom: "dep", IndepAtom: "indep", InclAtom: "incl",
               ExclAtom: "excl", EquiAtom: "equi"}
 
 
-def _find_out_of_target(phi, target, path=()):
-    kind = _ATOM_KIND.get(type(phi))
-    if kind is not None and kind not in target:
-        return path, phi
-    if isinstance(phi, (And, Or)):
-        hit = _find_out_of_target(phi.left, target, path + (0,))
-        if hit is not None:
-            return hit
-        return _find_out_of_target(phi.right, target, path + (1,))
-    if isinstance(phi, (Exists, Forall)):
-        return _find_out_of_target(phi.body, target, path + (0,))
-    return None
+def _find_out_of_target(phi, target):
+    """Pre-order (path, atom) of the first atom outside target, or None."""
+    return next(((path, sub) for path, sub in subformula_instances(phi)
+                 if type(sub) in _ATOM_KIND
+                 and _ATOM_KIND[type(sub)] not in target), None)
 
 
 def _rewrite_atom(atom, target, avoid):

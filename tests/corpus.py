@@ -9,8 +9,8 @@ so the choice of survivors is reproducible too.
 import hashlib
 import itertools
 
-from .model import Model, Team, all_teams
-from .syntax import (
+from teamlogic.model import Model, Team, all_teams
+from teamlogic.syntax import (
     And, DepAtom, Equality, ExclAtom, InclAtom, Name, Or, render,
 )
 

@@ -9,7 +9,7 @@ import itertools
 import json
 import time
 
-from teamlogic import corpus, translate
+from teamlogic import translate
 from teamlogic.cli import main as cli_main
 from teamlogic.dbdeps import (
     derive, parse_dependency, semantic_implies, verify_derivation,
@@ -19,6 +19,7 @@ from teamlogic.model import Model, Team, all_teams
 from teamlogic.semantics import Mode, satisfies, satisfies_sentence
 from teamlogic.syntax import parse, render
 
+import corpus
 from fastcorpus import CorpusEvaluator, row_universe
 from oracles import reachable
 

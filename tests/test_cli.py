@@ -58,6 +58,30 @@ def test_check_usage_errors(capsys):
     assert code == 2
 
 
+def test_check_deep_nesting_is_a_usage_error(capsys):
+    for formula in ("(" * 400 + "forall x . x = x" + ")" * 400,
+                    "exists x . " * 400 + "x = x"):
+        code, out, err = run(capsys, "check", "--domain", "0,1", formula)
+        assert code == 2 and not out and err.startswith("error:")
+
+
+def test_check_team_without_rows_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "team.json"
+    path.write_text(json.dumps({"vars": ["x"]}))
+    code, out, err = run(capsys, "check", "--domain", "0,1", "--team",
+                         str(path), "x = x")
+    assert code == 2 and not out and err.startswith("error:")
+
+
+def test_check_team_value_outside_domain_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "team.json"
+    for value in ("7", 7):
+        path.write_text(json.dumps({"vars": ["x"], "rows": [[value]]}))
+        code, out, err = run(capsys, "check", "--domain", "0,1", "--team",
+                             str(path), "x = x")
+        assert code == 2 and not out and err.startswith("error:")
+
+
 def test_check_json_report(capsys, split_fixture):
     model, team, formula = split_fixture("prop-4.2-lax-vs-strict.json")
     code, out, _ = run(capsys, "check", "--json", "--model", model,

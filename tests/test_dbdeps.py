@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -82,6 +83,24 @@ def test_check_egd():
     egd = parse_dependency("egd: A(x,y) & A(x,z) -> y = z")
     assert check_dependency(rel(("A", "B"), [("0", "1"), ("1", "2")]), egd)
     assert not check_dependency(rel(("A", "B"), [("0", "1"), ("0", "2")]), egd)
+
+
+def test_check_dependency_agrees_with_find_violation_on_generating_deps():
+    deps = [parse_dependency(text) for text in (
+        "tgd: A(x,y) & A(y,z) -> exists w . A(x,w)",
+        "egd: A(x,y) & A(x,z) -> y = z",
+        "tgd: A(x,y) & A(y,z) -> A(x,z)",
+        "tgd: A(x,y) -> exists w . A(y,w)")]
+    pairs = list(itertools.product("01", repeat=2))
+    verdicts = set()
+    for size in range(4):
+        for rows in itertools.combinations(pairs, size):
+            r = rel(("A", "B"), rows)
+            for dep, universe in itertools.product(deps, (None, ("0", "1"))):
+                held = check_dependency(r, dep, universe)
+                assert held == (find_violation(r, dep, universe) is None)
+                verdicts.add(held)
+    assert verdicts == {True, False}
 
 
 def test_find_violation_witnesses():

@@ -200,6 +200,51 @@ def test_lax_locality_under_dummy_column(phi, x):
         satisfies(M2, wide, phi, Mode.LAX).is_sat
 
 
+# One case per search path of the evaluator, each checked on every team
+# of at most three rows; the named method must be reached and decide,
+# and the teams must meet both verdicts.
+SEARCH_PATHS = [
+    # lax cover search: a flat side plus two sides needing a search, one
+    # of them neither union nor downward closed
+    ("_side_holds", Mode.LAX,
+     "x = y \\/ (dep(y) /\\ incl(y ; x)) \\/ excl(x ; y)"),
+    # strict split, pruning the downward-closed side as it grows
+    ("_sat_or_strict", Mode.STRICT,
+     "(x != y /\\ dep(y)) \\/ (dep(x) /\\ incl(y ; x))"),
+    # class-wise search of a block pinned by a dependence atom
+    ("_sat_exists_pinned", Mode.LAX,
+     "exists u . (dep(x, u) /\\ (u = y /\\ incl(x ; y) \\/ u != y /\\ excl(x ; y)))"),
+    # per-row witness search, over a team column and over a new one:
+    # flat filters, atom and compound pruners, then the whole body
+    ("_sat_exists_one", Mode.LAX, "exists x . (dep(y, x) /\\ x != y /\\ incl(x ; y))"),
+    ("_sat_exists_one", Mode.STRICT, "exists x . (dep(y, x) /\\ x != y /\\ incl(x ; y))"),
+    ("_sat_exists_one", Mode.LAX,
+     "exists z . (excl(z ; x) /\\ (dep(z) \\/ z = y) /\\ incl(z ; y))"),
+    ("_sat_exists_one", Mode.STRICT,
+     "exists z . (excl(z ; x) /\\ (dep(z) \\/ z = y) /\\ incl(z ; y))"),
+]
+
+
+@pytest.mark.parametrize("method, mode, text", SEARCH_PATHS)
+def test_search_path_matches_reference(monkeypatch, method, mode, text):
+    decided = []
+    original = getattr(Evaluator, method)
+
+    def spy(self, *args):
+        result = original(self, *args)
+        decided.append(result is not None)
+        return result
+
+    monkeypatch.setattr(Evaluator, method, spy)
+    phi = parse(text)
+    verdicts = set()
+    for x in all_teams(("x", "y"), DOM, max_rows=3):
+        got = satisfies(M2, x, phi, mode).is_sat
+        assert got == ref_sat(M2, x, phi, strict=mode is Mode.STRICT), x
+        verdicts.add(got)
+    assert any(decided) and verdicts == {True, False}
+
+
 def test_tarski_matches_reference_on_fo():
     m = Model(DOM, constants={"c": "0"},
               functions={"S": {("0",): "1", ("1",): "0"}},

@@ -14,6 +14,10 @@ class ModelError(ValueError):
     pass
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 class Model:
     """A finite structure: domain, constants, functions and relations.
 
@@ -100,15 +104,30 @@ class Model:
 
     @classmethod
     def from_json_dict(cls, data, allow_unit_domain=False):
+        """A model from {"domain": [...], "constants": {...},
+        "functions": {...}, "relations": {...}}; only the domain is
+        required, and each relation is a list of rows of strings."""
+        if not isinstance(data, dict) or not _strings(data.get("domain")):
+            raise ModelError('model JSON needs a "domain" list of strings')
+        for key in ("constants", "functions", "relations"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ModelError('model JSON "%s" must be an object' % key)
         functions = {}
-        for name, table in (data.get("functions") or {}).items():
+        for name, table in data.get("functions", {}).items():
+            if not isinstance(table, dict):
+                raise ModelError("function %s is not an object" % name)
             functions[name] = {tuple(key.split(",")) if key else (): value
                                for key, value in table.items()}
+        relations = data.get("relations", {})
+        for name, rows in relations.items():
+            if not isinstance(rows, list) or not all(_strings(row) for row in rows):
+                raise ModelError("relation %s is not a list of rows of strings"
+                                 % name)
         return cls(
             data["domain"],
             data.get("constants"),
             functions,
-            data.get("relations"),
+            relations,
             allow_unit_domain=allow_unit_domain,
         )
 
@@ -288,8 +307,7 @@ class Team:
                 raise ModelError('team JSON needs a "%s" list' % key)
         width = len(data["vars"])
         for row in data["rows"]:
-            if not isinstance(row, list) or len(row) != width \
-                    or not all(isinstance(value, str) for value in row):
+            if not _strings(row) or len(row) != width:
                 raise ModelError("team row %s is not a list of %d strings"
                                  % (json.dumps(row), width))
         return cls.from_tuples(data["vars"], data["rows"])

@@ -22,7 +22,11 @@ core the evaluator layers several exact shortcuts:
 * disjuncts are prefiltered per row by their flat conjuncts, and only
   genuinely ambiguous rows are resolved by backtracking;
 * existential blocks whose variables are pinned by dependence conjuncts
-  are searched class-by-class instead of row-by-row.
+  are searched class-by-class instead of row-by-row;
+* the dep and excl conjuncts of an existential's body prune its witness
+  search incrementally, against the new rows only: a pick is checked on
+  the pairs of rows that involve a row it adds, since the rows picked
+  before it already passed.
 
 Every shortcut is also covered by a test against a rule-by-rule
 reference evaluator.
@@ -394,11 +398,10 @@ class Evaluator:
         return self._backtrack(
             len(special), slots, None,
             lambda chosen: all(
-                self._side_holds(idx, body, frozenset(chosen[k]),
-                                 eligible[idx], team)
+                self._side_holds(body, frozenset(chosen[k]), eligible[idx], team)
                 for k, (idx, body) in enumerate(special)))
 
-    def _side_holds(self, idx, rest, assigned, elig, team):
+    def _side_holds(self, rest, assigned, elig, team):
         """Can a special side's team include `assigned` and satisfy it?"""
         if not assigned:
             return True
@@ -599,10 +602,43 @@ class Evaluator:
         slots.sort(key=len)
         new_vars = team.variables if var in team.variables else team.variables + (var,)
 
-        def fits(extended, _option):
-            partial = Team(new_vars, extended[0])
-            return all(check_atom(model, partial, c) for c in pruners) \
-                and all(self.sat(c, partial) for c in dc_pruners)
+        # dep and excl are downward closed and the bucket before the newest
+        # option passed them, so only pairs with a new row can break them.
+        # A new row meets itself too: excl(x ; x) fails on one row.  Each
+        # pruner reads a pair of term tuples per row, computed once per
+        # search.  `checked` lists the bucket's columns in bucket order;
+        # _backtrack adds and drops rows in stack order, so cutting it
+        # back to the rows before the option keeps it in step.
+        deps = [isinstance(c, DepAtom) for c in pruners]
+        heads = [(c.args[:-1], c.args[-1:]) if dep else (c.left, c.right)
+                 for c, dep in zip(pruners, deps)]
+        columns = {}
+
+        def column(row):
+            col = columns.get(row)
+            if col is None:
+                col = columns[row] = [
+                    (tuple(eval_term(model, row, t) for t in left),
+                     tuple(eval_term(model, row, t) for t in right))
+                    for left, right in heads]
+            return col
+
+        checked = []
+
+        def fits(extended, option):
+            bucket = extended[0]
+            if pruners:
+                del checked[len(bucket) - len(option):]
+                checked.extend(column(new) for _bucket, new in option)
+                for mine in checked[-len(option):]:
+                    for theirs in checked:
+                        for dep, (a, b), (c, d) in zip(deps, mine, theirs):
+                            if (a == c and b != d) if dep else (a == d or c == b):
+                                return False
+            if not dc_pruners:
+                return True
+            partial = Team(new_vars, bucket)
+            return all(self.sat(c, partial) for c in dc_pruners)
 
         return self._backtrack(
             1, slots, fits,

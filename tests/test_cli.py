@@ -82,6 +82,23 @@ def test_check_team_value_outside_domain_is_a_usage_error(capsys, tmp_path):
         assert code == 2 and not out and err.startswith("error:")
 
 
+@pytest.mark.parametrize("data", [
+    {"constants": {}},
+    {"domain": "01"},
+    {"domain": ["0", "1"], "constants": [["c", "0"]]},
+    {"domain": ["0", "1"], "functions": ["S"]},
+    {"domain": ["0", "1"], "relations": [["R", ["0"]]]},
+    {"domain": ["0", "1"], "relations": {"R": "01"}},
+], ids=["no-domain", "domain-string", "constants-list", "functions-list",
+        "relations-list", "relation-string"])
+def test_check_malformed_model_is_a_usage_error(capsys, tmp_path, data):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--model", str(path),
+                         "forall x . x = x")
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_check_json_report(capsys, split_fixture):
     model, team, formula = split_fixture("prop-4.2-lax-vs-strict.json")
     code, out, _ = run(capsys, "check", "--json", "--model", model,

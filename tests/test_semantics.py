@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from teamlogic.model import Assignment, Model, Team, all_teams
 from teamlogic.semantics import (
-    Budget, BudgetExceeded, Evaluator, Mode, check_dependence,
+    Budget, BudgetExceeded, Evaluator, Mode, check_atom, check_dependence,
     check_equiextension, check_exclusion, check_inclusion, check_independence,
-    is_downward_closed, is_union_closed, satisfies, satisfies_sentence, tarski,
+    flatten_and, is_downward_closed, is_union_closed, satisfies,
+    satisfies_sentence, tarski,
 )
 from teamlogic.syntax import (
     And, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall, InclAtom,
@@ -200,6 +201,14 @@ def test_lax_locality_under_dummy_column(phi, x):
         satisfies(M2, wide, phi, Mode.LAX).is_sat
 
 
+# Witness searches whose atom pruners cut picks: a lax value set that
+# breaks dep on its own rows, and an overwriting exists x that maps two
+# rows of a bucket to one.
+PRUNED_WITNESSES = [
+    (Mode.LAX, "exists z . (dep(x, z) /\\ incl(y ; z))"),
+    (Mode.STRICT, "exists x . (excl(x ; y) /\\ dep(y, x))"),
+]
+
 # One case per search path of the evaluator, each checked on every team
 # of at most three rows; the named method must be reached and decide,
 # and the teams must meet both verdicts.
@@ -222,6 +231,7 @@ SEARCH_PATHS = [
      "exists z . (excl(z ; x) /\\ (dep(z) \\/ z = y) /\\ incl(z ; y))"),
     ("_sat_exists_one", Mode.STRICT,
      "exists z . (excl(z ; x) /\\ (dep(z) \\/ z = y) /\\ incl(z ; y))"),
+    *(("_sat_exists_one", mode, text) for mode, text in PRUNED_WITNESSES),
 ]
 
 
@@ -243,6 +253,30 @@ def test_search_path_matches_reference(monkeypatch, method, mode, text):
         assert got == ref_sat(M2, x, phi, strict=mode is Mode.STRICT), x
         verdicts.add(got)
     assert any(decided) and verdicts == {True, False}
+
+
+@pytest.mark.parametrize("mode, text", PRUNED_WITNESSES)
+def test_witness_search_hands_on_only_picks_passing_its_pruners(
+        monkeypatch, mode, text):
+    phi = parse(text)
+    pruners = [c for c in flatten_and(phi.body)
+               if isinstance(c, (DepAtom, ExclAtom))]
+    judged = []
+    original = Evaluator.sat
+
+    def spy(self, psi, x):
+        if psi == phi.body:
+            judged.append(x)
+            assert all(check_atom(self.model, x, c) for c in pruners), x
+        return original(self, psi, x)
+
+    # On three elements a new row can clash with an old one in either
+    # direction of excl without clashing with itself.
+    m3 = Model(("0", "1", "2"))
+    monkeypatch.setattr(Evaluator, "sat", spy)
+    for x in all_teams(("x", "y"), m3.domain, max_rows=3):
+        satisfies(m3, x, phi, mode)
+    assert judged
 
 
 def test_tarski_matches_reference_on_fo():

@@ -141,6 +141,19 @@ def test_exc_to_dep_preserves_verdicts():
                           max_rows=3, mode=mode)
 
 
+def test_dep_exc_translations_preserve_verdicts_on_three_elements():
+    # On two elements the witness searches hardly branch; on three their
+    # dep and excl pruners cut value sets and split picks.
+    m3 = Model(("0", "1", "2"))
+    dep = DepAtom((t("x"), t("y")))
+    excl = ExclAtom((t("x"),), (t("y"),))
+    for mode in (Mode.LAX, Mode.STRICT):
+        assert_equivalent(dep, dep_to_exc(dep.args), ("x", "y"),
+                          model=m3, mode=mode)
+        assert_equivalent(excl, exc_to_dep(excl.left, excl.right), ("x", "y"),
+                          model=m3, mode=mode)
+
+
 def test_equi_inc_round_trips_preserve_verdicts():
     equi = parse("equi(x ; y)")
     incl = parse("incl(x ; y)")

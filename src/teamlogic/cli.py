@@ -8,6 +8,7 @@ stdout; the default output is line oriented and stable across runs.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -15,9 +16,8 @@ from . import dbdeps, games, translate
 from .model import Model, Team, ModelError, all_teams
 from .semantics import Budget, BudgetExceeded, Mode, satisfies, satisfies_sentence
 from .syntax import (
-    ATOMS, App, DepAtom, EquiAtom, ExclAtom, InclAtom, IndepAtom,
-    ParseError, RelAtom, atom_term_tuples, free_names, parse, render,
-    subformula_instances,
+    And, DepAtom, EquiAtom, ExclAtom, InclAtom, IndepAtom,
+    ParseError, free_names, parse, render, symbol_arities,
 )
 
 EXIT_SAT = 0
@@ -195,33 +195,8 @@ def _translate_atom(rule, phi, args):
 # equiv: the brute-force equivalence oracle
 
 
-def _symbol_arities(phi):
-    relations = {}
-    functions = {}
-
-    def walk_term(t):
-        if isinstance(t, App):
-            functions.setdefault(t.func, len(t.args))
-            if functions[t.func] != len(t.args):
-                raise UsageError("function %s used with mixed arities" % t.func)
-            for a in t.args:
-                walk_term(a)
-
-    for _path, sub in subformula_instances(phi):
-        if isinstance(sub, RelAtom):
-            relations.setdefault(sub.name, len(sub.args))
-            if relations[sub.name] != len(sub.args):
-                raise UsageError("relation %s used with mixed arities" % sub.name)
-        if isinstance(sub, ATOMS):
-            for tup in atom_term_tuples(sub):
-                for t in tup:
-                    walk_term(t)
-    return relations, functions
-
-
 def _all_interpretations(domain, relations, functions):
     """Every way to interpret the listed symbols over the domain."""
-    import itertools
     rel_items = sorted(relations.items())
     fun_items = sorted(functions.items())
     rel_spaces = []
@@ -248,10 +223,7 @@ def cmd_equiv(args):
     lo, _, hi = args.domains.partition("..")
     lo, hi = int(lo), int(hi or lo)
     names = free_names(f1) | free_names(f2)
-    rels1, funs1 = _symbol_arities(f1)
-    rels2, funs2 = _symbol_arities(f2)
-    relations = {**rels1, **rels2}
-    functions = {**funs1, **funs2}
+    relations, functions = symbol_arities(And(f1, f2))
     mode = _mode(args)
     budget = _budget(args)
 

@@ -170,9 +170,6 @@ class Assignment:
     def items(self):
         return self._items
 
-    def as_dict(self):
-        return dict(self._items)
-
     def extended(self, var, value):
         out = dict(self._items)
         out[var] = value
@@ -305,6 +302,8 @@ class Team:
         for key in ("vars", "rows"):
             if not isinstance(data, dict) or not isinstance(data.get(key), list):
                 raise ModelError('team JSON needs a "%s" list' % key)
+        if not _strings(data["vars"]) or len(set(data["vars"])) != len(data["vars"]):
+            raise ModelError('team JSON "vars" must be distinct strings')
         width = len(data["vars"])
         for row in data["rows"]:
             if not _strings(row) or len(row) != width:
@@ -318,12 +317,12 @@ class Team:
             return cls.from_json_dict(json.load(handle))
 
 
-def all_teams(variables, domain, max_rows=None, min_rows=0):
+def all_teams(variables, domain, max_rows=None):
     """Every team over the given variables, by increasing row count."""
     variables = tuple(variables)
     rows = [Assignment(dict(zip(variables, values)))
             for values in itertools.product(domain, repeat=len(variables))]
     top = len(rows) if max_rows is None else min(max_rows, len(rows))
-    for size in range(min_rows, top + 1):
+    for size in range(top + 1):
         for chosen in itertools.combinations(rows, size):
             yield Team(variables, chosen)

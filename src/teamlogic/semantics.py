@@ -23,10 +23,13 @@ core the evaluator layers several exact shortcuts:
   genuinely ambiguous rows are resolved by backtracking;
 * existential blocks whose variables are pinned by dependence conjuncts
   are searched class-by-class instead of row-by-row;
-* the dep and excl conjuncts of an existential's body prune its witness
-  search incrementally, against the new rows only: a pick is checked on
-  the pairs of rows that involve a row it adds, since the rows picked
-  before it already passed.
+* every search whose buckets are teams (the witness search and both
+  splits of a disjunction) prunes a bucket as it grows by the
+  downward-closed conjuncts of the bucket's formula, through one
+  _Pruner: dep and excl atoms on the pairs of rows that involve a new
+  row, since the rows picked before already passed, and compound
+  conjuncts over {FO, dep, excl} on the whole bucket.  A side of a split
+  whose formula the pruner covers is not evaluated again once complete.
 
 Every shortcut is also covered by a test against a rule-by-rule
 reference evaluator.
@@ -40,7 +43,8 @@ from .model import Team, eval_term
 from .syntax import (
     And, Or, Exists, Forall, Name,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
-    LITERALS, ATOMS, conjoin, free_names, is_first_order, term_names,
+    LITERALS, ATOMS, conjoin, flatten_and, flatten_or, free_names,
+    is_first_order, term_names,
 )
 
 
@@ -183,16 +187,79 @@ def is_downward_closed(phi):
     return is_downward_closed(phi.body)
 
 
-def flatten_and(phi):
-    if isinstance(phi, And):
-        return flatten_and(phi.left) + flatten_and(phi.right)
-    return [phi]
+# ---------------------------------------------------------------------------
+# Downward-closed pruning
 
 
-def flatten_or(phi):
-    if isinstance(phi, Or):
-        return flatten_or(phi.left) + flatten_or(phi.right)
-    return [phi]
+class _Pruner:
+    """Rejects a growing bucket that already fails its formula.
+
+    Satisfaction of the {FO, dep, excl} fragment is downward closed in
+    both modes, so a bucket failing such a conjunct of its formula stays
+    failed whatever rows are added.  A leading existential block is
+    peeled first; conjuncts mentioning its variables are left to the
+    full evaluation.  Flat conjuncts are the searches' per-row filters;
+    dep and excl atoms are checked only on the pairs of rows that involve
+    a new row, each new row meeting itself too (excl(x ; x) fails on one
+    row); compound downward-closed conjuncts are evaluated on the whole
+    bucket.  `covers` says that these conjuncts make up the whole
+    formula, so a complete bucket of filtered rows that passed at every
+    step satisfies it.
+    """
+
+    def __init__(self, evaluator, phi, variables):
+        self.evaluator = evaluator
+        self.variables = variables
+        block = set()
+        while isinstance(phi, Exists):
+            block.add(phi.var)
+            phi = phi.body
+        conjuncts = flatten_and(phi)
+        if block:
+            conjuncts = [c for c in conjuncts if not (free_names(c) & block)]
+        self.flat = [c for c in conjuncts if is_first_order(c)]
+        atoms = [c for c in conjuncts if isinstance(c, (DepAtom, ExclAtom))]
+        self.compound = [c for c in conjuncts
+                         if not isinstance(c, ATOMS) and not is_first_order(c)
+                         and is_downward_closed(c)]
+        self.covers = not block and len(conjuncts) == (
+            len(self.flat) + len(atoms) + len(self.compound))
+        # Each atom reads a pair of term tuples per row, computed once per
+        # search.  `checked` lists the bucket's columns in bucket order;
+        # _backtrack adds and drops rows in stack order, so cutting it
+        # back to the rows before the newest option keeps it in step.
+        self.deps = [isinstance(c, DepAtom) for c in atoms]
+        self.heads = [(c.args[:-1], c.args[-1:]) if dep else (c.left, c.right)
+                      for c, dep in zip(atoms, self.deps)]
+        self.columns = {}
+        self.checked = []
+
+    def _column(self, row):
+        col = self.columns.get(row)
+        if col is None:
+            model = self.evaluator.model
+            col = self.columns[row] = [
+                (tuple(eval_term(model, row, t) for t in left),
+                 tuple(eval_term(model, row, t) for t in right))
+                for left, right in self.heads]
+        return col
+
+    def __call__(self, bucket, new):
+        """Whether the bucket, whose last `new` rows were just added, may
+        still grow into a team satisfying the formula."""
+        if self.heads:
+            checked = self.checked
+            del checked[len(bucket) - new:]
+            checked.extend(self._column(row) for row in bucket[-new:])
+            for mine in checked[-new:]:
+                for theirs in checked:
+                    for dep, (a, b), (c, d) in zip(self.deps, mine, theirs):
+                        if (a == c and b != d) if dep else (a == d or c == b):
+                            return False
+        if not self.compound:
+            return True
+        partial = Team(self.variables, bucket)
+        return all(self.evaluator.sat(c, partial) for c in self.compound)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +387,19 @@ class Evaluator:
 
     # -- the search core ----------------------------------------------------
 
-    def _backtrack(self, nbuckets, slots, fits, done):
+    def _backtrack(self, slots, pruners, done):
         """Depth-first choice of one option per slot.
 
         slots lists, in search order, the options of each slot; an option
-        is a tuple of (bucket, row) additions.  fits(buckets, option), if
-        given, may reject a partial pick right after it is made, and
-        done(buckets) judges a complete one.  Buckets are lists: when two
-        options add the same row, undoing one keeps the other's copy.
+        is a tuple of (bucket, row) additions.  pruners holds one _Pruner
+        or None per bucket; a bucket's pruner may reject a partial pick
+        right after an option adds to it, and an option that adds to a
+        pruned bucket adds all its rows there.  done(buckets) judges a
+        complete pick.
+        Buckets are lists: when two options add the same row, undoing one
+        keeps the other's copy.
         """
-        buckets = [[] for _ in range(nbuckets)]
+        buckets = [[] for _ in pruners]
 
         def pick(pos):
             self.tick()
@@ -338,7 +408,10 @@ class Evaluator:
             for option in slots[pos]:
                 for bucket, row in option:
                     buckets[bucket].append(row)
-                if (fits is None or fits(buckets, option)) and pick(pos + 1):
+                first = option[0][0]
+                prune = pruners[first]
+                if (prune is None or prune(buckets[first], len(option))) \
+                        and pick(pos + 1):
                     return True
                 for bucket, _row in option:
                     buckets[bucket].pop()
@@ -395,19 +468,18 @@ class Evaluator:
                 return False
             slots.append(opts)
         slots.sort(key=len)
+        pruners = [_Pruner(self, body, team.variables) for _idx, body in special]
         return self._backtrack(
-            len(special), slots, None,
+            slots, pruners,
             lambda chosen: all(
-                self._side_holds(body, frozenset(chosen[k]), eligible[idx], team)
-                for k, (idx, body) in enumerate(special)))
+                prune.covers
+                or self._side_holds(body, frozenset(bucket), eligible[idx], team)
+                for (idx, body), prune, bucket in zip(special, pruners, chosen)))
 
     def _side_holds(self, rest, assigned, elig, team):
         """Can a special side's team include `assigned` and satisfy it?"""
         if not assigned:
             return True
-        if is_downward_closed(rest):
-            # Any larger satisfying team restricts to `assigned`.
-            return self.sat(rest, team.with_rows(assigned))
         optional = sorted(elig - assigned,
                           key=lambda r: r.values_for(team.variables))
         for size in range(len(optional) + 1):
@@ -420,21 +492,14 @@ class Evaluator:
     def _sat_or_strict(self, sides, eligible, team, rows):
         slots = sorted(([((i, row),) for i, elig in enumerate(eligible) if row in elig]
                         for row in rows), key=len)
-        # Sides over {FO, dep, excl} atoms are pruned as they grow.
-        downward = [body is not None
-                    and all(is_first_order(c) or isinstance(c, (DepAtom, ExclAtom))
-                            for c in flatten_and(body))
-                    for _flat, body in sides]
-
-        def fits(chosen, option):
-            i = option[0][0]
-            return not downward[i] or self.sat(sides[i][1], team.with_rows(chosen[i]))
-
+        pruners = [None if body is None else _Pruner(self, body, team.variables)
+                   for _flat, body in sides]
         return self._backtrack(
-            len(sides), slots, fits,
-            lambda chosen: all(self.sat(body, team.with_rows(chosen[i]))
-                               for i, (_flat, body) in enumerate(sides)
-                               if body is not None and chosen[i]))
+            slots, pruners,
+            lambda chosen: all(self.sat(body, team.with_rows(bucket))
+                               for (_flat, body), prune, bucket
+                               in zip(sides, pruners, chosen)
+                               if bucket and not (prune is None or prune.covers)))
 
     # -- existentials -------------------------------------------------------
 
@@ -560,88 +625,31 @@ class Evaluator:
         # Every profile gives each member some side, so each complete
         # pick already covers the team and only the cover search is left.
         return self._backtrack(
-            len(sides), slots, None,
+            slots, [None] * len(sides),
             lambda elig_map: self._sat_or_lax(
                 sides, [set(e) for e in elig_map], team, rows))
 
     def _sat_exists_one(self, var, rest, team):
         model = self.model
-        inner_block = set()
-        probe = rest
-        while isinstance(probe, Exists):
-            inner_block.add(probe.var)
-            probe = probe.body
-        filters = [c for c in flatten_and(probe)
-                   if is_first_order(c) and not (free_names(c) & inner_block)]
-        pruners = [c for c in flatten_and(probe)
-                   if isinstance(c, (DepAtom, ExclAtom))
-                   and not (free_names(c) & inner_block)]
-        # Compound downward-closed conjuncts prune too: satisfaction of the
-        # {FO, dep, excl} fragment is downward closed in both modes, so a
-        # failure on a partially extended team can never be repaired by
-        # adding the remaining rows.
-        dc_pruners = [c for c in flatten_and(probe)
-                      if not isinstance(c, ATOMS) and not is_first_order(c)
-                      and is_downward_closed(c)
-                      and not (free_names(c) & inner_block)]
-
+        new_vars = team.variables if var in team.variables else team.variables + (var,)
+        prune = _Pruner(self, rest, new_vars)
         slots = []
         for row in team.sorted_rows():
-            cand = [m for m in model.domain
-                    if all(tarski(model, _extend_many(row, (var,), (m,)), c)
-                           for c in filters)]
+            cand = [ext for ext in (row.extended(var, m) for m in model.domain)
+                    if all(tarski(model, ext, c) for c in prune.flat)]
             if not cand:
                 return False
             if self.mode is Mode.STRICT:
-                picks = [(m,) for m in cand]
+                picks = [(ext,) for ext in cand]
             else:
                 picks = [c for size in range(1, len(cand) + 1)
                          for c in itertools.combinations(cand, size)]
-            slots.append([tuple((0, row.extended(var, m)) for m in values)
-                          for values in picks])
+            slots.append([tuple((0, ext) for ext in exts) for exts in picks])
         slots.sort(key=len)
-        new_vars = team.variables if var in team.variables else team.variables + (var,)
-
-        # dep and excl are downward closed and the bucket before the newest
-        # option passed them, so only pairs with a new row can break them.
-        # A new row meets itself too: excl(x ; x) fails on one row.  Each
-        # pruner reads a pair of term tuples per row, computed once per
-        # search.  `checked` lists the bucket's columns in bucket order;
-        # _backtrack adds and drops rows in stack order, so cutting it
-        # back to the rows before the option keeps it in step.
-        deps = [isinstance(c, DepAtom) for c in pruners]
-        heads = [(c.args[:-1], c.args[-1:]) if dep else (c.left, c.right)
-                 for c, dep in zip(pruners, deps)]
-        columns = {}
-
-        def column(row):
-            col = columns.get(row)
-            if col is None:
-                col = columns[row] = [
-                    (tuple(eval_term(model, row, t) for t in left),
-                     tuple(eval_term(model, row, t) for t in right))
-                    for left, right in heads]
-            return col
-
-        checked = []
-
-        def fits(extended, option):
-            bucket = extended[0]
-            if pruners:
-                del checked[len(bucket) - len(option):]
-                checked.extend(column(new) for _bucket, new in option)
-                for mine in checked[-len(option):]:
-                    for theirs in checked:
-                        for dep, (a, b), (c, d) in zip(deps, mine, theirs):
-                            if (a == c and b != d) if dep else (a == d or c == b):
-                                return False
-            if not dc_pruners:
-                return True
-            partial = Team(new_vars, bucket)
-            return all(self.sat(c, partial) for c in dc_pruners)
-
+        # The leaf checks the whole body even when the pruner covers it:
+        # then the first leaf reached passes and ends the search.
         return self._backtrack(
-            1, slots, fits,
+            slots, [prune],
             lambda extended: self.sat(rest, Team(new_vars, extended[0])))
 
 

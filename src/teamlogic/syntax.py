@@ -185,6 +185,32 @@ def free_names(phi):
     raise TypeError("not a formula: %r" % (phi,))
 
 
+def symbol_arities(phi):
+    """The relation and the function symbols of a formula, each mapped to
+    its arity; a symbol used at two arities raises ParseError."""
+    relations, functions = {}, {}
+
+    def note(table, kind, name, arity):
+        if table.setdefault(name, arity) != arity:
+            raise ParseError("%s %s used with arities %d and %d"
+                             % (kind, name, table[name], arity))
+
+    def walk_term(t):
+        if isinstance(t, App):
+            note(functions, "function", t.func, len(t.args))
+            for a in t.args:
+                walk_term(a)
+
+    for _path, sub in subformula_instances(phi):
+        if isinstance(sub, RelAtom):
+            note(relations, "relation", sub.name, len(sub.args))
+        if isinstance(sub, ATOMS):
+            for tup in atom_term_tuples(sub):
+                for t in tup:
+                    walk_term(t)
+    return relations, functions
+
+
 def free_variables(phi, constants=()):
     """Free variables: free identifiers minus the given constant names."""
     return free_names(phi) - set(constants)
@@ -282,6 +308,20 @@ def negate_nnf(phi):
     if isinstance(phi, Forall):
         return Exists(phi.var, negate_nnf(phi.body))
     raise ValueError("cannot negate a non first order formula: %s" % render(phi))
+
+
+def flatten_and(phi):
+    """The conjuncts of a nest of conjunctions, left to right."""
+    if isinstance(phi, And):
+        return flatten_and(phi.left) + flatten_and(phi.right)
+    return [phi]
+
+
+def flatten_or(phi):
+    """The disjuncts of a nest of disjunctions, left to right."""
+    if isinstance(phi, Or):
+        return flatten_or(phi.left) + flatten_or(phi.right)
+    return [phi]
 
 
 def conjoin(parts):
@@ -545,34 +585,21 @@ def _is_ident(tok):
 class Signature:
     """Optional arity declarations checked after parsing.
 
-    functions and relations map names to arities; names not listed are
-    accepted without a check, so a signature can be partial.
+    functions and relations are pairs of a name and its arity; a name not
+    listed is accepted at any one arity, so a signature can be partial.
     """
 
     functions: tuple = ()
     relations: tuple = ()
 
     def check(self, phi):
-        functions = dict(self.functions)
-        relations = dict(self.relations)
-
-        def check_term(term):
-            if isinstance(term, App):
-                if term.func in functions and functions[term.func] != len(term.args):
-                    raise ParseError("function %s expects %d arguments"
-                                     % (term.func, functions[term.func]))
-                for a in term.args:
-                    check_term(a)
-
-        for _path, sub in subformula_instances(phi):
-            if isinstance(sub, RelAtom):
-                if sub.name in relations and relations[sub.name] != len(sub.args):
-                    raise ParseError("relation %s expects %d arguments"
-                                     % (sub.name, relations[sub.name]))
-            if isinstance(sub, ATOMS):
-                for tup in atom_term_tuples(sub):
-                    for t in tup:
-                        check_term(t)
+        relations, functions = symbol_arities(phi)
+        for kind, declared, used in (("function", self.functions, functions),
+                                     ("relation", self.relations, relations)):
+            for name, arity in declared:
+                if used.get(name, arity) != arity:
+                    raise ParseError("%s %s expects %d arguments"
+                                     % (kind, name, arity))
 
 
 def parse(text, sig=None):

@@ -15,13 +15,15 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
+from .model import Assignment
 from .syntax import (
     And, Or, Exists, Forall, Name, App,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
     ATOMS, LITERALS,
-    conjoin, disjoin, exists_block, forall_block,
-    free_names, term_names, is_first_order, negate_nnf, render, substitute,
-    subformula_instances, substitute_term, fresh_vars,
+    conjoin, disjoin, exists_block, flatten_and, forall_block,
+    free_names, term_names, is_first_order, negate_nnf, parse, render,
+    substitute, subformula_instances, substitute_term, symbol_arities,
+    fresh_vars,
 )
 from .semantics import Budget, BudgetExceeded, tarski
 
@@ -45,10 +47,6 @@ def _all_names(phi):
     if isinstance(phi, (And, Or)):
         return _all_names(phi.left) | _all_names(phi.right)
     return _all_names(phi.body) | {phi.var}
-
-
-def _fresh(count, avoid):
-    return fresh_vars(count, avoid)
 
 
 def tuple_equal(left, right):
@@ -93,7 +91,7 @@ def const_pushout(phi):
     path = _find_constancy(phi)
     if path is None:
         raise TranslateError("no constancy atom to lift")
-    z = _fresh(1, _all_names(phi))[0]
+    z = fresh_vars(1, _all_names(phi))[0]
     target = phi
     for step in path:
         target = (target.left, target.right)[step] if isinstance(target, (And, Or)) \
@@ -121,7 +119,7 @@ def const_normal_form(phi):
     spots = list(_constancy_paths(phi))
     if not spots:
         return phi
-    names = _fresh(len(spots), _all_names(phi))
+    names = fresh_vars(len(spots), _all_names(phi))
     body = phi
     for (path, atom), z in zip(spots, names):
         body = _replace_at(body, path, Equality(Name(z), atom.args[0]))
@@ -136,7 +134,6 @@ def const_sentence_collapse(phi):
     while isinstance(body, Exists):
         prefix.append(body.var)
         body = body.body
-    from .semantics import flatten_and
     conjuncts = flatten_and(body)
     kept = [c for c in conjuncts
             if not (_is_constancy(c) and isinstance(c.args[0], Name)
@@ -159,7 +156,7 @@ def dep_to_indep(terms):
 
 def dep_to_exc(terms, avoid=()):
     terms = tuple(terms)
-    z = _fresh(1, _names_of_terms(terms) | set(avoid))[0]
+    z = fresh_vars(1, _names_of_terms(terms) | set(avoid))[0]
     left = terms[:-1] + (Name(z),)
     return Forall(z, Or(Equality(Name(z), terms[-1]),
                         ExclAtom(left, terms)))
@@ -168,7 +165,7 @@ def dep_to_exc(terms, avoid=()):
 def exc_to_dep(t1s, t2s, avoid=()):
     t1s, t2s = tuple(t1s), tuple(t2s)
     width = len(t1s)
-    names = _fresh(width + 2, _names_of_terms(t1s + t2s) | set(avoid))
+    names = fresh_vars(width + 2, _names_of_terms(t1s + t2s) | set(avoid))
     zs, (u1, u2) = names[:width], names[width:]
     zterms = tuple(Name(z) for z in zs)
     body = conjoin([
@@ -189,7 +186,7 @@ def equi_to_inc(t1s, t2s):
 def inc_to_equi(t1s, t2s, avoid=()):
     t1s, t2s = tuple(t1s), tuple(t2s)
     width = len(t1s)
-    names = _fresh(2 + width, _names_of_terms(t1s + t2s) | set(avoid))
+    names = fresh_vars(2 + width, _names_of_terms(t1s + t2s) | set(avoid))
     (u1, u2), zs = names[:2], names[2:]
     zterms = tuple(Name(z) for z in zs)
     body = And(EquiAtom(t2s, zterms),
@@ -201,7 +198,7 @@ def inc_to_equi(t1s, t2s, avoid=()):
 def inc_to_indep(t1s, t2s, avoid=()):
     t1s, t2s = tuple(t1s), tuple(t2s)
     width = len(t1s)
-    names = _fresh(2 + width, _names_of_terms(t1s + t2s) | set(avoid))
+    names = fresh_vars(2 + width, _names_of_terms(t1s + t2s) | set(avoid))
     (v1, v2), zs = names[:2], names[2:]
     zterms = tuple(Name(z) for z in zs)
     first = And(tuple_unequal(zterms, t1s), tuple_unequal(zterms, t2s))
@@ -216,7 +213,7 @@ def indep_to_ie(t1s, t2s, t3s, expand_deps=False, avoid=()):
     t1s, t2s, t3s = tuple(t1s), tuple(t2s), tuple(t3s)
     w1, w2, w3 = len(t1s), len(t2s), len(t3s)
     taken = _names_of_terms(t1s + t2s + t3s) | set(avoid)
-    names = _fresh(w1 + w2 + w3 + 4, taken)
+    names = fresh_vars(w1 + w2 + w3 + 4, taken)
     ps = names[:w1]
     qs = names[w1:w1 + w2]
     rs = names[w1 + w2:w1 + w2 + w3]
@@ -279,7 +276,11 @@ def _rewrite_atom(atom, target, avoid):
                          % (_ATOM_KIND[type(atom)], ", ".join(sorted(target))))
 
 
-def compile(phi, target, max_passes=200):
+# Bound on compile's rewriting passes, one atom per pass.
+_MAX_PASSES = 200
+
+
+def compile(phi, target):
     """Rewrite all atoms outside the target families, fresh vars globally.
 
     target is a set drawn from {dep, indep, incl, excl, equi}; first
@@ -287,7 +288,7 @@ def compile(phi, target, max_passes=200):
     a downward-closed target ({dep, excl} subsets) and raise.
     """
     target = set(target)
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         hit = _find_out_of_target(phi, target)
         if hit is None:
             return phi
@@ -313,7 +314,7 @@ def tc_sentence(psi, avars, bvars, xvars, yvars):
         raise TranslateError("edge formula must be first order")
     width = len(xvars)
     avoid = _all_names(psi) | set(xvars) | set(yvars) | set(avars) | set(bvars)
-    names = _fresh(2 * width, avoid)
+    names = fresh_vars(2 * width, avoid)
     zs, ws = names[:width], names[width:]
     zterms = tuple(Name(z) for z in zs)
     wterms = tuple(Name(w) for w in ws)
@@ -380,8 +381,7 @@ class ESOFormula:
 
 
 class _EsoBuilder:
-    def __init__(self, free_relation, vs, avoid):
-        self.free_relation = free_relation
+    def __init__(self, vs, avoid):
         self.prefix = []
         self.guards = {}
         self.constraints = []
@@ -404,11 +404,7 @@ class _EsoBuilder:
         self.constraints.append(constraint)
 
 
-def _membership_subst(mu, mapping):
-    return substitute(mu, mapping)
-
-
-def ie_to_eso(phi, vs, free_relation="A"):
+def ie_to_eso(phi, vs):
     """Build Phi(A) with: M sat_X phi (lax)  iff  Phi holds with A := X(vs).
 
     The construction threads a membership formula mu(v...) describing the
@@ -421,7 +417,7 @@ def ie_to_eso(phi, vs, free_relation="A"):
     if missing:
         raise TranslateError("free variables outside the team tuple: %s"
                              % ", ".join(sorted(missing)))
-    builder = _EsoBuilder(free_relation, vs, _all_names(phi))
+    builder = _EsoBuilder(vs, _all_names(phi))
 
     def rel_args(variables):
         return tuple(Name(v) for v in variables)
@@ -436,7 +432,7 @@ def ie_to_eso(phi, vs, free_relation="A"):
                 return
             primed = builder.fresh_vars(len(variables))
             ren = {v: Name(p) for v, p in zip(variables, primed)}
-            mu2 = _membership_subst(mu, ren)
+            mu2 = substitute(mu, ren)
             t2p = tuple(substitute_term(t, ren) for t in sub.right)
             match = conjoin([Equality(a, b) for a, b in zip(t2p, sub.left)])
             builder.require(forall_block(
@@ -446,7 +442,7 @@ def ie_to_eso(phi, vs, free_relation="A"):
         if isinstance(sub, ExclAtom):
             primed = builder.fresh_vars(len(variables))
             ren = {v: Name(p) for v, p in zip(variables, primed)}
-            mu2 = _membership_subst(mu, ren)
+            mu2 = substitute(mu, ren)
             t2p = tuple(substitute_term(t, ren) for t in sub.right)
             differ = disjoin([Equality(a, b, positive=False)
                               for a, b in zip(sub.left, t2p)])
@@ -493,7 +489,7 @@ def ie_to_eso(phi, vs, free_relation="A"):
             # Membership after the overwrite: some old value of x connects
             # the surviving coordinates to the new one through the witness.
             args_old = tuple(Name(old) if v == x else Name(v) for v in variables)
-            mu_old = _membership_subst(mu, {x: Name(old)})
+            mu_old = substitute(mu, {x: Name(old)})
             mu2 = Exists(old, And(mu_old, RelAtom(name, args_old + (Name(x),))))
             go(sub.body, mu2, variables)
             return
@@ -503,53 +499,21 @@ def ie_to_eso(phi, vs, free_relation="A"):
                 go(sub.body, mu, variables + (x,))
                 return
             old = builder.fresh_vars(1)[0]
-            mu2 = Exists(old, _membership_subst(mu, {x: Name(old)}))
+            mu2 = Exists(old, substitute(mu, {x: Name(old)}))
             go(sub.body, mu2, variables)
             return
         raise TranslateError("cannot translate %s to ESO" % render(sub))
 
-    mu0 = RelAtom(free_relation, tuple(Name(v) for v in vs))
+    mu0 = RelAtom("A", tuple(Name(v) for v in vs))
     go(phi, mu0, vs)
     matrix = conjoin(builder.constraints) if builder.constraints \
         else Equality(Name(vs[0]) if vs else Name("0"), Name(vs[0]) if vs else Name("0"))
-    return ESOFormula(free_relation, len(vs), builder.prefix, matrix,
+    return ESOFormula("A", len(vs), builder.prefix, matrix,
                       builder.guards)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force ESO evaluation
-
-
-def _so_symbols_in(phi, names):
-    """Which of the given symbol names occur in a formula."""
-    found = set()
-
-    def walk_term(t):
-        if isinstance(t, App):
-            if t.func in names:
-                found.add(t.func)
-            for a in t.args:
-                walk_term(a)
-
-    def walk(sub):
-        if isinstance(sub, RelAtom):
-            if sub.name in names:
-                found.add(sub.name)
-            for t in sub.args:
-                walk_term(t)
-        elif isinstance(sub, Equality):
-            walk_term(sub.left)
-            walk_term(sub.right)
-        elif isinstance(sub, (And, Or)):
-            walk(sub.left)
-            walk(sub.right)
-        elif isinstance(sub, (Exists, Forall)):
-            walk(sub.body)
-        else:
-            raise TranslateError("non-FO material in an ESO matrix")
-
-    walk(phi)
-    return found
 
 
 def eval_eso(model, eso, a, budget=None):
@@ -560,8 +524,6 @@ def eval_eso(model, eso, a, budget=None):
     construction of ie_to_eso.  Matrix conjuncts are checked as soon as
     all their symbols are interpreted.
     """
-    from .model import Assignment
-    from .semantics import flatten_and
     budget = budget or Budget()
     nodes = [0]
 
@@ -578,7 +540,8 @@ def eval_eso(model, eso, a, budget=None):
     checkpoint = {i: [] for i in range(len(names))}
     upfront = []
     for c in conjuncts:
-        used = _so_symbols_in(c, set(names))
+        relations, functions = symbol_arities(c)
+        used = (relations.keys() | functions.keys()) & name_pos.keys()
         if used:
             checkpoint[max(name_pos[n] for n in used)].append(c)
         else:
@@ -699,7 +662,7 @@ def skolemnf_to_ie(nf, vs, expand_deps=False):
         raise TranslateError("team tuple width must match the relation arity")
     avoid = set(vs) | set(nf.xvars) | set(nf.yvars) | _all_names(nf.psi)
     quantified = list(nf.xvars) + list(nf.yvars)
-    renames = _fresh(len(quantified) + len(nf.functions), avoid)
+    renames = fresh_vars(len(quantified) + len(nf.functions), avoid)
     fresh_xy = renames[:len(quantified)]
     zs = renames[len(quantified):]
     ren = {old: Name(new) for old, new in zip(quantified, fresh_xy)}
@@ -745,7 +708,6 @@ def parse_skolemnf(text):
     Example: "A/1 ; x: u ; y: ; f1: u ; f2: u ; psi: f1(u) = f2(u)".
     Function segments list the argument variables after the name.
     """
-    from .syntax import parse
     segments = [seg.strip() for seg in text.split(";")]
     if len(segments) < 5:
         raise TranslateError("normal form needs A/k, x, y, functions and psi")

@@ -83,6 +83,18 @@ def test_check_team_value_outside_domain_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("data", [
+    {"vars": [1], "rows": [["0"]]},
+    {"vars": ["x", "x"], "rows": [["0", "1"]]},
+], ids=["non-string-var", "repeated-var"])
+def test_check_malformed_team_vars_is_a_usage_error(capsys, tmp_path, data):
+    path = tmp_path / "team.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--domain", "0,1", "--team",
+                         str(path), "forall y . y = y")
+    assert code == 2 and not out and err.startswith("error:")
+
+
+@pytest.mark.parametrize("data", [
     {"constants": {}},
     {"domain": "01"},
     {"domain": ["0", "1"], "constants": [["c", "0"]]},
@@ -215,6 +227,12 @@ def test_equiv_with_relation_symbols(capsys):
     code, out, _ = run(capsys, "equiv", "R(x)", "R(x)",
                        "--domains", "2..2", "--max-rows", "2")
     assert code == 0
+
+
+def test_equiv_rejects_a_relation_at_two_arities(capsys):
+    code, out, err = run(capsys, "equiv", "R(x)", "R(x, x)",
+                         "--domains", "2..2", "--max-rows", "2")
+    assert code == 2 and not out and err.startswith("error:")
 
 
 def test_equiv_budget(capsys):

@@ -7,7 +7,7 @@ from teamlogic.model import Assignment, Model, Team, all_teams
 from teamlogic.semantics import (
     Budget, BudgetExceeded, Evaluator, Mode, check_atom, check_dependence,
     check_equiextension, check_exclusion, check_inclusion, check_independence,
-    flatten_and, is_downward_closed, is_union_closed, satisfies,
+    flatten_and, flatten_or, is_downward_closed, is_union_closed, satisfies,
     satisfies_sentence, tarski,
 )
 from teamlogic.syntax import (
@@ -202,11 +202,25 @@ def test_lax_locality_under_dummy_column(phi, x):
 
 
 # Witness searches whose atom pruners cut picks: a lax value set that
-# breaks dep on its own rows, and an overwriting exists x that maps two
-# rows of a bucket to one.
+# breaks dep on its own rows, an overwriting exists x that maps two rows
+# of a bucket to one, and a lax value set whose earlier values can clash
+# with an old row under excl where its last value does not.
 PRUNED_WITNESSES = [
     (Mode.LAX, "exists z . (dep(x, z) /\\ incl(y ; z))"),
     (Mode.STRICT, "exists x . (excl(x ; y) /\\ dep(y, x))"),
+    (Mode.LAX, "exists z . (excl(z ; x) /\\ incl(y ; z))"),
+]
+
+# Splits of a disjunction whose sides the pruners cut, with the sides
+# that own the search's buckets, in bucket order: every side of a strict
+# split; in the lax cover, the sides neither flat nor union closed.  The
+# strict split's first side has a compound downward-closed conjunct,
+# pruned on the whole bucket.
+PRUNED_SPLITS = [
+    (Mode.STRICT,
+     "(x != y /\\ (dep(y) \\/ excl(x ; y))) \\/ (dep(x) /\\ incl(y ; x))",
+     (0, 1)),
+    (Mode.LAX, "x = y \\/ (dep(y) /\\ incl(y ; x)) \\/ excl(x ; y)", (1, 2)),
 ]
 
 # One case per search path of the evaluator, each checked on every team
@@ -232,6 +246,7 @@ SEARCH_PATHS = [
     ("_sat_exists_one", Mode.STRICT,
      "exists z . (excl(z ; x) /\\ (dep(z) \\/ z = y) /\\ incl(z ; y))"),
     *(("_sat_exists_one", mode, text) for mode, text in PRUNED_WITNESSES),
+    ("_sat_or_strict", *PRUNED_SPLITS[0][:2]),
 ]
 
 
@@ -277,6 +292,48 @@ def test_witness_search_hands_on_only_picks_passing_its_pruners(
     for x in all_teams(("x", "y"), m3.domain, max_rows=3):
         satisfies(m3, x, phi, mode)
     assert judged
+
+
+@pytest.mark.parametrize("mode, text, owners", PRUNED_SPLITS)
+def test_splits_hand_on_only_picks_passing_their_pruners(
+        monkeypatch, mode, text, owners):
+    phi = parse(text)
+    sides = [flatten_and(side) for side in flatten_or(phi)]
+    pruners = [[c for c in sides[i] if isinstance(c, (DepAtom, ExclAtom))]
+               for i in owners]
+    compound = {c for side in sides for c in side
+                if isinstance(c, (And, Or)) and is_downward_closed(c)}
+    judged, evaluated, depth = [], set(), [0]
+    backtrack, sat = Evaluator._backtrack, Evaluator.sat
+
+    def judge(self, done):
+        def judged_done(buckets):
+            judged.append(buckets)
+            for rows, atoms in zip(buckets, pruners):
+                x = Team(("x", "y"), rows)
+                assert all(check_atom(self.model, x, c) for c in atoms), x
+            return done(buckets)
+        return judged_done
+
+    def spy_backtrack(self, slots, prune, done):
+        # Only the split of phi itself; nested searches have other sides.
+        depth[0] += 1
+        try:
+            return backtrack(self, slots, prune,
+                             judge(self, done) if depth[0] == 1 else done)
+        finally:
+            depth[0] -= 1
+
+    def spy_sat(self, psi, x):
+        evaluated.add(psi)
+        return sat(self, psi, x)
+
+    monkeypatch.setattr(Evaluator, "_backtrack", spy_backtrack)
+    monkeypatch.setattr(Evaluator, "sat", spy_sat)
+    m3 = Model(("0", "1", "2"))
+    for x in all_teams(("x", "y"), m3.domain, max_rows=3):
+        satisfies(m3, x, phi, mode)
+    assert judged and compound <= evaluated
 
 
 def test_tarski_matches_reference_on_fo():

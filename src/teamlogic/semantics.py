@@ -29,7 +29,9 @@ core the evaluator layers several exact shortcuts:
   _Pruner: dep and excl atoms on the pairs of rows that involve a new
   row, since the rows picked before already passed, and compound
   conjuncts over {FO, dep, excl} on the whole bucket.  A side of a split
-  whose formula the pruner covers is not evaluated again once complete.
+  whose formula the pruner covers is not evaluated again once complete,
+  and a lax side whose formula is downward closed is evaluated on its
+  bucket alone, since no larger team can satisfy it instead.
 
 Every shortcut is also covered by a test against a rule-by-rule
 reference evaluator.
@@ -204,12 +206,14 @@ class _Pruner:
     row); compound downward-closed conjuncts are evaluated on the whole
     bucket.  `covers` says that these conjuncts make up the whole
     formula, so a complete bucket of filtered rows that passed at every
-    step satisfies it.
+    step satisfies it; `closed` says that the whole formula is downward
+    closed, so a bucket that fails it has no satisfying superset.
     """
 
     def __init__(self, evaluator, phi, variables):
         self.evaluator = evaluator
         self.variables = variables
+        self.closed = is_downward_closed(phi)
         block = set()
         while isinstance(phi, Exists):
             block.add(phi.var)
@@ -469,17 +473,23 @@ class Evaluator:
             slots.append(opts)
         slots.sort(key=len)
         pruners = [_Pruner(self, body, team.variables) for _idx, body in special]
+
+        def holds(idx, body, prune, bucket):
+            if prune.covers or not bucket:
+                return True
+            if prune.closed:
+                # Any larger satisfying team restricts to the bucket.
+                return self.sat(body, team.with_rows(bucket))
+            return self._side_holds(body, frozenset(bucket), eligible[idx], team)
+
         return self._backtrack(
             slots, pruners,
-            lambda chosen: all(
-                prune.covers
-                or self._side_holds(body, frozenset(bucket), eligible[idx], team)
-                for (idx, body), prune, bucket in zip(special, pruners, chosen)))
+            lambda chosen: all(holds(idx, body, prune, bucket)
+                               for (idx, body), prune, bucket
+                               in zip(special, pruners, chosen)))
 
     def _side_holds(self, rest, assigned, elig, team):
         """Can a special side's team include `assigned` and satisfy it?"""
-        if not assigned:
-            return True
         optional = sorted(elig - assigned,
                           key=lambda r: r.values_for(team.variables))
         for size in range(len(optional) + 1):

@@ -336,6 +336,26 @@ def test_splits_hand_on_only_picks_passing_their_pruners(
     assert judged and compound <= evaluated
 
 
+def test_lax_cover_settles_a_downward_closed_side_on_its_bucket():
+    # The leading exists keeps the pruner from covering the second side,
+    # but the side is downward closed: failing on the rows it must take,
+    # it fails on every larger team too, so the cover must not try the
+    # 2^20 sets of optional rows on the full team over five elements.
+    phi = parse("x != c \\/ exists z . (dep(x, z) /\\ excl(z ; y))")
+    m = Model(DOM, constants={"c": "0"})
+    verdicts = set()
+    for x in all_teams(("x", "y"), DOM, max_rows=3):
+        got = satisfies(m, x, phi, Mode.LAX).is_sat
+        assert got == ref_sat(m, x, phi, strict=False), x
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    dom5 = tuple("01234")
+    full = team(itertools.product(dom5, dom5))
+    verdict = satisfies(Model(dom5, constants={"c": "0"}), full, phi,
+                        Mode.LAX, budget=Budget(1000))
+    assert verdict.status == "unsat" and verdict.nodes_used < 100
+
+
 def test_tarski_matches_reference_on_fo():
     m = Model(DOM, constants={"c": "0"},
               functions={"S": {("0",): "1", ("1",): "0"}},

@@ -66,6 +66,13 @@ def test_signature_check():
         parse("R(x)", sig)
     with pytest.raises(ParseError):
         parse("S(x, y) = x", sig)
+    # A symbol the signature does not list may take any one arity, but
+    # not two in one formula.
+    parse("P(x) /\\ f(x, y) = y", sig)
+    with pytest.raises(ParseError):
+        parse("P(x) /\\ P(x, y)", sig)
+    with pytest.raises(ParseError):
+        parse("f(x) = f(x, y)", sig)
 
 
 def test_free_variables():

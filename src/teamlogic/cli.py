@@ -3,7 +3,8 @@
 Subcommands: check, game, translate, equiv, derive, dbcheck.  Exit
 codes are uniform: 0 for sat/equivalent/derivable/holds, 1 for the
 negative verdict, 2 for usage or parse errors, 3 when the node budget
-runs out.  --json switches every subcommand to a single JSON object on
+runs out, 4 for an internal error, so that a crash never reads as the
+negative verdict.  --json switches every subcommand to a single JSON object on
 stdout; the default output is line oriented and stable across runs.
 """
 
@@ -24,6 +25,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -222,6 +224,10 @@ def cmd_equiv(args):
     f2 = parse(args.formula2)
     lo, _, hi = args.domains.partition("..")
     lo, hi = int(lo), int(hi or lo)
+    if lo > hi:
+        raise UsageError("empty domain size range %s" % args.domains)
+    if args.max_rows < 0:
+        raise UsageError("--max-rows must not be negative")
     names = free_names(f1) | free_names(f2)
     relations, functions = symbol_arities(And(f1, f2))
     mode = _mode(args)
@@ -266,6 +272,8 @@ def cmd_equiv(args):
 
 
 def cmd_derive(args):
+    if args.depth < 0:
+        raise UsageError("--depth must not be negative")
     try:
         premises = [dbdeps.parse_dependency(p) for p in args.premise]
         goal = dbdeps.parse_dependency(args.goal)
@@ -402,6 +410,10 @@ def main(argv=None):
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -22,7 +22,12 @@ core the evaluator layers several exact shortcuts:
 * disjuncts are prefiltered per row by their flat conjuncts, and only
   genuinely ambiguous rows are resolved by backtracking;
 * existential blocks whose variables are pinned by dependence conjuncts
-  are searched class-by-class instead of row-by-row;
+  are searched class-by-class instead of row-by-row (lax); that search
+  evaluates flat conjuncts over the block alone once per value tuple,
+  and without flat conjuncts over team columns it meets one value tuple
+  per set of sides passed; it strikes a union-closed side from every row
+  outside its greatest subteam among the rows offered to it; and it
+  prunes the rows left with a single side by that side's pruner;
 * every search whose buckets are teams (the witness search and both
   splits of a disjunction) prunes a bucket as it grows by the
   downward-closed conjuncts of the bucket's formula, through one
@@ -396,27 +401,41 @@ class Evaluator:
 
         slots lists, in search order, the options of each slot; an option
         is a tuple of (bucket, row) additions.  pruners holds one _Pruner
-        or None per bucket; a bucket's pruner may reject a partial pick
-        right after an option adds to it, and an option that adds to a
-        pruned bucket adds all its rows there.  done(buckets) judges a
-        complete pick.
+        or None per bucket; each pruned bucket an option adds to may
+        reject the partial pick right after the option.  Which pruned
+        buckets an option touches, and with how many rows, is worked out
+        once per search, when the option is first tried.  done(buckets)
+        judges a complete pick.
         Buckets are lists: when two options add the same row, undoing one
         keeps the other's copy.
         """
         buckets = [[] for _ in pruners]
+        touched = [[None] * len(opts) for opts in slots]
+
+        def checks(option):
+            counts = {}
+            for bucket, _row in option:
+                if pruners[bucket] is not None:
+                    counts[bucket] = counts.get(bucket, 0) + 1
+            return [(pruners[b], buckets[b], n) for b, n in counts.items()]
 
         def pick(pos):
             self.tick()
             if pos == len(slots):
                 return done(buckets)
-            for option in slots[pos]:
+            known = touched[pos]
+            for i, option in enumerate(slots[pos]):
                 for bucket, row in option:
                     buckets[bucket].append(row)
-                first = option[0][0]
-                prune = pruners[first]
-                if (prune is None or prune(buckets[first], len(option))) \
-                        and pick(pos + 1):
-                    return True
+                tests = known[i]
+                if tests is None:
+                    tests = known[i] = checks(option)
+                for prune, rows, new in tests:
+                    if not prune(rows, new):
+                        break
+                else:
+                    if pick(pos + 1):
+                        return True
                 for bucket, _row in option:
                     buckets[bucket].pop()
             return False
@@ -544,6 +563,20 @@ class Evaluator:
         searching over per-class values is complete; and since the
         residual disjuncts are block-free, only the per-row side
         eligibility profile of each class's choice matters.
+
+        Three cuts keep the search small, each without changing a verdict:
+        * a flat conjunct over block variables (and constants) alone reads
+          the same on every row, so it is evaluated once per value tuple;
+          when no flat conjunct reads a team column, tuples passing the
+          same sides give every class the same profile, and each class
+          meets one tuple per such set of sides;
+        * _filter_union_closed strikes a union-closed side from the rows
+          it can never cover in a complete pick (see there);
+        * a row whose profile has one side must be covered by that side,
+          so it also goes to an extra bucket under the side's _Pruner: a
+          pick whose forced rows already fail a downward-closed conjunct
+          of the side fails at its leaf too, whatever the other classes
+          pick.
         """
         blockset = set(block)
         conjuncts = flatten_and(body)
@@ -598,46 +631,140 @@ class Evaluator:
             key = tuple(eval_term(model, row, t) for t in pin_tuple)
             classes.setdefault(key, []).append(row)
 
+        # A flat conjunct reading no team column reads the same on every
+        # row, so it is evaluated once per value tuple, on any one row.
+        # `passed` is None when a tuple fails such a row conjunct, else
+        # the sides whose such conjuncts it passes.
+        columns = set(team.variables)
+
+        def by_reach(flat):
+            reads = [bool(free_names(c) & columns) for c in flat]
+            return ([c for c, r in zip(flat, reads) if not r],
+                    [c for c, r in zip(flat, reads) if r])
+
+        row_block, row_team = by_reach(row_flat)
+        split = [by_reach(flat) for flat, _body in sides]
+        side_block = [b for b, _t in split]
+        side_team = [t for _b, t in split]
+        tuples = []
+        for values in itertools.product(model.domain, repeat=len(block)):
+            e = _extend_many(rows[0], block, values)
+            passed = None
+            if all(tarski(model, e, c) for c in row_block):
+                passed = frozenset(i for i, flat in enumerate(side_block)
+                                   if all(tarski(model, e, c) for c in flat))
+            tuples.append((values, passed))
+        # Without team-reading flat conjuncts a tuple gives each member of
+        # a class the sides it passed, so tuples passing the same sides
+        # give the same profile and one of them stands for all.
+        grouped = not row_team and not any(side_team)
+        if grouped:
+            tuples = [(None, passed) for passed in dict.fromkeys(
+                passed for _values, passed in tuples
+                if passed is not None and (passed or not sides))]
+
         # Per class, the usable value choices collapse to their maximal
-        # side-eligibility profiles; a class's option adds each member
-        # row to every side its profile allows.
-        k = len(block)
-        slots = []
-        for key, members in classes.items():
+        # side-eligibility profiles.
+        options = []
+        for members in classes.values():
             cand = []
-            for values in itertools.product(model.domain, repeat=k):
+            for values, passed in tuples:
                 self.tick()
-                ext = [_extend_many(row, block, values) for row in members]
-                if any(not tarski(model, e, c) for e in ext for c in row_flat):
+                if grouped:
+                    cand.append((passed,) * len(members))
                     continue
-                if not sides:
-                    cand.append(tuple(frozenset() for _ in members))
+                if passed is None or (sides and not passed):
+                    continue
+                ext = [_extend_many(row, block, values) for row in members]
+                if any(not tarski(model, e, c) for e in ext for c in row_team):
                     continue
                 profile = []
-                ok = True
                 for e in ext:
-                    elig = frozenset(i for i, (flat, _body) in enumerate(sides)
-                                     if all(tarski(model, e, c) for c in flat))
-                    if not elig:
-                        ok = False
+                    elig = frozenset(i for i in passed
+                                     if all(tarski(model, e, c)
+                                            for c in side_team[i]))
+                    if sides and not elig:
                         break
                     profile.append(elig)
-                if ok:
+                else:
                     cand.append(tuple(profile))
             cand = _maximal_profiles(cand)
             if not cand:
                 return False
-            slots.append([tuple((i, row) for row, elig in zip(members, profile)
-                                for i in elig)
-                          for profile in cand])
+            options.append((members, cand))
         if not sides:
             return True
+        options = self._filter_union_closed(sides, options, team)
+        if options is None:
+            return False
+
+        # A class's option adds each member row to every side its profile
+        # allows.  A row with a single side must go to that side, so it
+        # is also added to an extra bucket under that side's pruner, which
+        # rejects a pick as soon as the rows forced to one side fail it.
+        pruners = [None] * len(sides)
+        forced = {}
+        for i, (_flat, body) in enumerate(sides):
+            if body is not None and not is_union_closed(body):
+                prune = _Pruner(self, body, team.variables)
+                if prune.heads or prune.compound:
+                    forced[i] = len(pruners)
+                    pruners.append(prune)
+        slots = [[tuple((i, row) for row, elig in zip(members, profile)
+                        for i in elig)
+                  + tuple((forced[i], row) for row, elig in zip(members, profile)
+                          if len(elig) == 1 for i in elig if i in forced)
+                  for profile in cand]
+                 for members, cand in options]
         # Every profile gives each member some side, so each complete
         # pick already covers the team and only the cover search is left.
+        n = len(sides)
         return self._backtrack(
-            slots, [None] * len(sides),
-            lambda elig_map: self._sat_or_lax(
-                sides, [set(e) for e in elig_map], team, rows))
+            slots, pruners,
+            lambda buckets: self._sat_or_lax(
+                sides, [set(b) for b in buckets[:n]], team, rows))
+
+    def _filter_union_closed(self, sides, options, team):
+        """Strike union-closed sides from rows they can never cover.
+
+        In a complete pick a union-closed side covers its greatest
+        subteam among the rows eligible for it, and greatest subteams
+        grow with the team, so it never covers a row outside its greatest
+        subteam among all rows any option offers it.  Striking the side
+        from such rows leaves every cover as it was; an option left with
+        a row that has no side can never be covered and is dropped.
+        Repeats until nothing changes; returns None when a class loses
+        every option.
+        """
+        closed = [i for i, (_flat, body) in enumerate(sides)
+                  if body is not None and is_union_closed(body)]
+        while closed:
+            offered = {i: set() for i in closed}
+            for members, cand in options:
+                for profile in cand:
+                    for row, elig in zip(members, profile):
+                        for i in elig:
+                            if i in offered:
+                                offered[i].add(row)
+            keep = {i: self.largest_subteam(sides[i][1], team.with_rows(offered[i]))
+                    for i in closed if offered[i]}
+            filtered = []
+            for members, cand in options:
+                kept = []
+                for profile in cand:
+                    profile = tuple(
+                        frozenset(i for i in elig if i not in keep or row in keep[i])
+                        for row, elig in zip(members, profile))
+                    if all(profile):
+                        kept.append(profile)
+                kept = _maximal_profiles(kept)
+                if not kept:
+                    return None
+                filtered.append((members, kept))
+            if filtered == options:
+                break
+            options = filtered
+        return options
 
     def _sat_exists_one(self, var, rest, team):
         model = self.model

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from teamlogic import cli
 from teamlogic.cli import main
 
 
@@ -235,6 +236,20 @@ def test_equiv_rejects_a_relation_at_two_arities(capsys):
     assert code == 2 and not out and err.startswith("error:")
 
 
+def test_equiv_rejects_an_empty_domain_range(capsys):
+    # The counterexample of test_equiv_counterexample lies on 2..2; a
+    # reversed range searches nothing and must not read as equivalent.
+    code, out, err = run(capsys, "equiv", "incl(x ; y)", "incl(y ; x)",
+                         "--domains", "3..1")
+    assert code == 2 and not out and err.startswith("error:")
+
+
+def test_equiv_rejects_a_negative_row_bound(capsys):
+    code, out, err = run(capsys, "equiv", "incl(x ; y)", "incl(y ; x)",
+                         "--max-rows", "-1")
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_equiv_budget(capsys):
     code, out, _ = run(capsys, "equiv", "exists a . incl(x ; a)",
                        "exists a . incl(x ; a)",
@@ -257,6 +272,12 @@ def test_derive_not_derivable(capsys):
     code, out, _ = run(capsys, "derive", "incl(B ; A)",
                        "-p", "incl(A ; B)", "--depth", "4")
     assert code == 1 and "not derivable" in out
+
+
+def test_derive_rejects_a_negative_depth(capsys):
+    code, out, err = run(capsys, "derive", "incl(A ; C)", "-p", "incl(A ; B)",
+                         "-p", "incl(B ; C)", "--depth", "-1")
+    assert code == 2 and not out and err.startswith("error:")
 
 
 def test_derive_rejects_fd_premise(capsys):
@@ -288,3 +309,18 @@ def test_dbcheck_deps_file_and_json(capsys, tmp_path):
     report = json.loads(out)
     assert code == 1 and report["verdict"] == "violated"
     assert len(report["violations"]) == 1
+
+
+# --- internal errors -------------------------------------------------------
+
+
+def test_internal_error_does_not_read_as_a_verdict(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, out, err = run(capsys, "check", "--domain", "0,1", "x = x")
+    assert code == cli.EXIT_INTERNAL
+    assert code not in (cli.EXIT_SAT, cli.EXIT_UNSAT, cli.EXIT_USAGE,
+                        cli.EXIT_BUDGET)
+    assert not out and err == "internal error: RuntimeError: boom\n"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamlogic.model import Assignment, Model, Team, all_teams
+from teamlogic.translate import indep_to_ie
 from teamlogic.semantics import (
     Budget, BudgetExceeded, Evaluator, Mode, check_atom, check_dependence,
     check_equiextension, check_exclusion, check_inclusion, check_independence,
@@ -247,6 +248,15 @@ SEARCH_PATHS = [
      "exists z . (excl(z ; x) /\\ (dep(z) \\/ z = y) /\\ incl(z ; y))"),
     *(("_sat_exists_one", mode, text) for mode, text in PRUNED_WITNESSES),
     ("_sat_or_strict", *PRUNED_SPLITS[0][:2]),
+    # class-wise search whose flat conjuncts read only block variables,
+    # so that the value tuples are grouped by the sides they pass (with
+    # incl(x ; y) in place of incl(y ; x) it holds on every team here)
+    ("_sat_exists_pinned", Mode.LAX,
+     "exists u v . (dep(x, u) /\\ dep(x, v) /\\ "
+     "(u = v /\\ incl(y ; x) \\/ u != v /\\ excl(x ; y)))"),
+    # a row with two sides, one of them pruned, must not be forced to it
+    ("_sat_exists_pinned", Mode.LAX,
+     "exists u . (dep(x, u) /\\ (x = y \\/ u = x /\\ excl(x ; y)))"),
 ]
 
 
@@ -354,6 +364,71 @@ def test_lax_cover_settles_a_downward_closed_side_on_its_bucket():
     verdict = satisfies(Model(dom5, constants={"c": "0"}), full, phi,
                         Mode.LAX, budget=Budget(1000))
     assert verdict.status == "unsat" and verdict.nodes_used < 100
+
+
+def test_pinned_search_decides_the_independence_translation_on_one_row():
+    # The shape of the benchmark's lax probe: on one row over three
+    # elements, indep_to_ie's pinned block has 27 single-row classes of
+    # 81 value tuples, each falling into one of three sides.  The source
+    # atom is the reference; ref_sat on the translation is far too slow.
+    atom = parse("indep(z ; x ; y)")
+    phi = indep_to_ie(atom.cond, atom.left, atom.right)
+    m3 = Model(("0", "1", "2"))
+    for values in itertools.product(m3.domain, repeat=3):
+        x = Team.from_tuples(("x", "y", "z"), [values])
+        verdict = satisfies(m3, x, phi, Mode.LAX, budget=Budget(1000))
+        assert ref_sat(m3, x, atom)
+        assert verdict.status == "sat", (values, verdict)
+
+
+# Pinned blocks: every block variable is pinned by dep(pin, v); flat
+# conjuncts read only the block, only team columns, or both; side bodies
+# are absent, union closed, downward closed (atom or compound), or
+# neither.
+_BLOCK_FLAT = ("u = v", "u != v")
+_COLUMN_FLAT = ("u = x", "u != y", "v = y", "v != x", "x = y", "x != y")
+_SIDE_BODIES = (None, "incl(x ; y)", "equi(x ; y)", "incl(y ; x) /\\ y != u",
+                "dep(y)", "excl(x ; y)", "dep(x, y)",
+                "excl(x ; y) \\/ dep(y)", "dep(x) /\\ incl(y ; x)")
+
+
+@st.composite
+def _pinned_blocks(draw):
+    block = draw(st.sampled_from((("u",), ("u", "v"))))
+
+    def usable(conjuncts):
+        return [c for c in conjuncts if "v" in block or "v" not in c]
+
+    flat = st.sampled_from(usable(_BLOCK_FLAT + _COLUMN_FLAT))
+    pin = draw(st.sampled_from(("", "x, ", "y, ", "x, y, ")))
+    conjuncts = ["dep(%s%s)" % (pin, var) for var in block]
+    conjuncts += draw(st.lists(flat, max_size=1))
+    sides = []
+    for _ in range(draw(st.integers(2, 3))):
+        side = draw(st.lists(flat, max_size=2))
+        body = draw(st.sampled_from(_SIDE_BODIES))
+        if body is not None and "u" not in body:
+            side.append("(%s)" % body)
+        sides.append(" /\\ ".join(side) or "x = x")
+    conjuncts.append("(%s)" % " \\/ ".join("(%s)" % s for s in sides))
+    return block, parse("exists %s . (%s)" % (" ".join(block),
+                                            " /\\ ".join(conjuncts)))
+
+
+_nonempty_teams = st.lists(st.tuples(st.sampled_from(DOM), st.sampled_from(DOM)),
+                           min_size=1, max_size=3).map(lambda rows: team(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pinned_blocks(), _nonempty_teams)
+def test_pinned_search_matches_reference(pinned, x):
+    block, phi = pinned
+    body = phi
+    for _var in block:
+        body = body.body
+    got = Evaluator(M2, Mode.LAX)._sat_exists_pinned(list(block), body, x)
+    assert got is not None
+    assert got == ref_sat(M2, x, phi)
 
 
 def test_tarski_matches_reference_on_fo():

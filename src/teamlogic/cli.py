@@ -231,7 +231,6 @@ def cmd_equiv(args):
     names = free_names(f1) | free_names(f2)
     relations, functions = symbol_arities(And(f1, f2))
     mode = _mode(args)
-    budget = _budget(args)
 
     for size in range(lo, hi + 1):
         domain = [str(i) for i in range(size)]
@@ -241,8 +240,8 @@ def cmd_equiv(args):
             model = Model(domain, constants, funs, rels,
                           allow_unit_domain=args.allow_unit_domain)
             for team in all_teams(variables, domain, max_rows=args.max_rows):
-                v1 = satisfies(model, team, f1, mode, budget)
-                v2 = satisfies(model, team, f2, mode, budget)
+                v1 = satisfies(model, team, f1, mode, _budget(args))
+                v2 = satisfies(model, team, f2, mode, _budget(args))
                 if "budget_exceeded" in (v1.status, v2.status):
                     _emit(args, {"verdict": "budget_exceeded"},
                           ["budget_exceeded"])
@@ -274,14 +273,9 @@ def cmd_equiv(args):
 def cmd_derive(args):
     if args.depth < 0:
         raise UsageError("--depth must not be negative")
-    try:
-        premises = [dbdeps.parse_dependency(p) for p in args.premise]
-        goal = dbdeps.parse_dependency(args.goal)
-        found = dbdeps.derive(premises, goal, system=args.system,
-                              depth=args.depth)
-    except (ParseError, dbdeps.DependencyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    premises = [dbdeps.parse_dependency(p) for p in args.premise]
+    goal = dbdeps.parse_dependency(args.goal)
+    found = dbdeps.derive(premises, goal, system=args.system, depth=args.depth)
     if found is None:
         _emit(args, {"verdict": "not-derivable", "depth": args.depth},
               ["not derivable within depth %d" % args.depth])
@@ -326,24 +320,35 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="teamlogic")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, team=False):
+    def common(p):
         p.add_argument("--json", action="store_true")
+
+    def search(p, mode=True):
+        """The flags of a subcommand that runs a budgeted search on models."""
         p.add_argument("--budget", type=int, default=10_000_000)
-        p.add_argument("--mode", choices=("lax", "strict"), default="lax")
-        if team:
-            p.add_argument("--model")
-            p.add_argument("--domain",
-                           help="comma-separated domain for a bare model")
-            p.add_argument("--team")
+        if mode:
+            p.add_argument("--mode", choices=("lax", "strict"), default="lax")
         p.add_argument("--allow-unit-domain", action="store_true")
 
+    def structure(p):
+        p.add_argument("--model")
+        p.add_argument("--domain", help="comma-separated domain for a bare model")
+        p.add_argument("--team")
+
     p = sub.add_parser("check", help="evaluate a formula on a team")
-    common(p, team=True)
+    common(p)
+    search(p)
+    structure(p)
     p.add_argument("formula")
     p.set_defaults(run=cmd_check)
 
-    p = sub.add_parser("game", help="search for a uniform winning strategy")
-    common(p, team=True)
+    # The strict reading of a game is --deterministic.  Abbreviations are
+    # off, or --mode would be read as --model.
+    p = sub.add_parser("game", help="search for a uniform winning strategy",
+                       allow_abbrev=False)
+    common(p)
+    search(p, mode=False)
+    structure(p)
     p.add_argument("formula")
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--compile", action="store_true",
@@ -369,6 +374,7 @@ def _build_parser():
 
     p = sub.add_parser("equiv", help="exhaustive equivalence check within bounds")
     common(p)
+    search(p)
     p.add_argument("formula")
     p.add_argument("formula2")
     p.add_argument("--domains", default="2..2", help="domain size range a..b")
@@ -401,7 +407,7 @@ def main(argv=None):
     try:
         return args.run(args)
     except (ParseError, UsageError, ModelError, translate.TranslateError,
-            dbdeps.DependencyError, FileNotFoundError, ValueError) as exc:
+            dbdeps.DependencyError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded:

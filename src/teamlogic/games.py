@@ -25,7 +25,7 @@ from .syntax import (
     And, Or, Exists, Forall, InclAtom, ExclAtom,
     LITERALS, ATOMS, render, subformula_instances,
 )
-from .semantics import Budget, BudgetExceeded, tarski
+from .semantics import Budget, tarski
 
 PLAYER_I = "I"
 PLAYER_II = "II"
@@ -247,7 +247,6 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
     Returns a Strategy or None; raises BudgetExceeded when the node cap
     is hit before the search is decided.
     """
-    budget = budget or Budget()
     alive = _trim(arena)
     if any(p not in alive for p in arena.initial):
         return None
@@ -259,12 +258,7 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
                    if arena.turn[p] == PLAYER_II and not arena.is_terminal(p)}
         return Strategy(choices)
 
-    nodes = [0]
-
-    def tick():
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExceeded(nodes[0])
+    tick = (budget or Budget()).tick
 
     def excl_conflict(position, reached):
         path, s = position
@@ -278,43 +272,54 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
                  for q in peers}
         return bool(left & right)
 
-    def solve(frontier, reached, choices):
+    # Depth first over the open positions, smallest first.  Only Player
+    # II's choices branch; each open choice is kept on a stack with the
+    # options it has left, so that the search needs no recursion per
+    # position.  One tick per visited state.
+    choices = {}
+    stack = []  # (position, remaining option sets, rest, reached before)
+    frontier, reached = frozenset(arena.initial), frozenset()
+    while True:
         tick()
-        if not frontier:
-            if _uniformity_ok(arena, reached):
-                return dict(choices)
-            return None
-        position = min(frontier, key=_position_key)
-        rest = frontier - {position}
-        if position in reached:
-            return solve(rest, reached, choices)
-        if arena.is_terminal(position):
-            if excl_conflict(position, reached):
-                return None
-            return solve(rest, reached | {position}, choices)
-        if arena.turn[position] == PLAYER_I:
-            succ = set(arena.successors[position])
-            return solve(rest | (succ - reached), reached | {position}, choices)
-        succ = [p for p in arena.successors[position] if p in alive]
-        if deterministic:
-            option_sets = [(p,) for p in succ]
+        if frontier:
+            position = min(frontier, key=_position_key)
+            rest = frontier - {position}
+            if position in reached:
+                frontier = rest
+                continue
+            if arena.is_terminal(position):
+                if not excl_conflict(position, reached):
+                    frontier, reached = rest, reached | {position}
+                    continue
+            elif arena.turn[position] == PLAYER_I:
+                succ = set(arena.successors[position])
+                frontier, reached = rest | (succ - reached), reached | {position}
+                continue
+            else:
+                succ = [p for p in arena.successors[position] if p in alive]
+                if deterministic:
+                    option_sets = [(p,) for p in succ]
+                else:
+                    option_sets = [combo
+                                   for size in range(1, len(succ) + 1)
+                                   for combo in itertools.combinations(succ, size)]
+                stack.append((position, iter(option_sets), rest, reached))
+        elif _uniformity_ok(arena, reached):
+            return Strategy(choices)
+        # Take the next option of the newest open choice, dropping the
+        # choices that have none left.
+        while stack:
+            position, options, rest, before = stack[-1]
+            choices.pop(position, None)
+            chosen = next(options, None)
+            if chosen is not None:
+                choices[position] = chosen
+                frontier = rest | (set(chosen) - before)
+                reached = before | {position}
+                break
+            stack.pop()
         else:
-            option_sets = [combo
-                           for size in range(1, len(succ) + 1)
-                           for combo in itertools.combinations(succ, size)]
-        for chosen in option_sets:
-            choices[position] = chosen
-            result = solve(rest | (set(chosen) - reached),
-                           reached | {position}, choices)
-            if result is not None:
-                return result
-            del choices[position]
-        return None
-
-    found = solve(frozenset(arena.initial), frozenset(), {})
-    if found is None:
-        return None
-    return Strategy(found)
+            return None
 
 
 def format_strategy(arena, tau):

@@ -44,7 +44,7 @@ reference evaluator.
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import Team, eval_term
 from .syntax import (
@@ -60,13 +60,26 @@ class Mode(enum.Enum):
     STRICT = "strict"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Budget:
+    """The node counter of one search.
+
+    The evaluator, eval_eso and the game solver tick it once per node;
+    it raises BudgetExceeded once more than max_nodes were spent.  Give
+    each search a fresh one.
+    """
+
     max_nodes: int = 10_000_000
+    nodes: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.max_nodes <= 0:
             raise ValueError("budget must be positive")
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise BudgetExceeded(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -280,14 +293,9 @@ class Evaluator:
         self.model = model
         self.mode = mode
         self.budget = budget or Budget()
-        self.nodes = 0
+        self.tick = self.budget.tick
         self._memo = {}
         self._maxsub_memo = {}
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise BudgetExceeded(self.nodes)
 
     # -- entry point --------------------------------------------------------
 
@@ -419,28 +427,42 @@ class Evaluator:
                     counts[bucket] = counts.get(bucket, 0) + 1
             return [(pruners[b], buckets[b], n) for b, n in counts.items()]
 
-        def pick(pos):
-            self.tick()
-            if pos == len(slots):
-                return done(buckets)
-            known = touched[pos]
-            for i, option in enumerate(slots[pos]):
-                for bucket, row in option:
-                    buckets[bucket].append(row)
-                tests = known[i]
-                if tests is None:
-                    tests = known[i] = checks(option)
-                for prune, rows, new in tests:
-                    if not prune(rows, new):
-                        break
-                else:
-                    if pick(pos + 1):
-                        return True
-                for bucket, _row in option:
+        # A loop, not a recursion per slot, so that a team of any size
+        # fits the interpreter's stack.  tried[pos] counts the options
+        # tried at depth pos; the last one stays added until the search
+        # comes back to that depth.
+        self.tick()
+        if not slots:
+            return done(buckets)
+        tried = [0] * len(slots)
+        pos = 0
+        while pos >= 0:
+            opts = slots[pos]
+            i = tried[pos]
+            if i:
+                for bucket, _row in opts[i - 1]:
                     buckets[bucket].pop()
-            return False
-
-        return pick(0)
+            if i == len(opts):
+                pos -= 1
+                continue
+            tried[pos] = i + 1
+            option = opts[i]
+            for bucket, row in option:
+                buckets[bucket].append(row)
+            tests = touched[pos][i]
+            if tests is None:
+                tests = touched[pos][i] = checks(option)
+            for prune, rows, new in tests:
+                if not prune(rows, new):
+                    break
+            else:
+                self.tick()
+                if pos + 1 < len(slots):
+                    pos += 1
+                    tried[pos] = 0
+                elif done(buckets):
+                    return True
+        return False
 
     # -- disjunction --------------------------------------------------------
 
@@ -826,9 +848,9 @@ def satisfies(model, team, phi, mode=Mode.LAX, budget=None):
                          % ", ".join(sorted(missing)))
     ev = Evaluator(model, mode, budget)
     try:
-        return Verdict("sat" if ev.sat(phi, team) else "unsat", ev.nodes)
-    except BudgetExceeded as exc:
-        return Verdict("budget_exceeded", exc.nodes)
+        return Verdict("sat" if ev.sat(phi, team) else "unsat", ev.budget.nodes)
+    except BudgetExceeded:
+        return Verdict("budget_exceeded", ev.budget.nodes)
 
 
 def satisfies_sentence(model, phi, mode=Mode.LAX, budget=None):

@@ -25,7 +25,7 @@ from .syntax import (
     substitute, subformula_instances, substitute_term, symbol_arities,
     fresh_vars,
 )
-from .semantics import Budget, BudgetExceeded, tarski
+from .semantics import Budget, tarski
 
 
 class TranslateError(ValueError):
@@ -524,14 +524,7 @@ def eval_eso(model, eso, a, budget=None):
     construction of ie_to_eso.  Matrix conjuncts are checked as soon as
     all their symbols are interpreted.
     """
-    budget = budget or Budget()
-    nodes = [0]
-
-    def tick():
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExceeded(nodes[0])
-
+    tick = (budget or Budget()).tick
     base = model.with_relation(eso.free_relation, a)
     conjuncts = flatten_and(eso.matrix)
     names = [sym.name for sym in eso.prefix]

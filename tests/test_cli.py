@@ -255,6 +255,11 @@ def test_equiv_budget(capsys):
                        "exists a . incl(x ; a)",
                        "--domains", "2..2", "--budget", "1")
     assert code == 3 and out.strip() == "budget_exceeded"
+    # The budget bounds each evaluation, not the sum over all teams.
+    code, out, _ = run(capsys, "equiv", "exists a . incl(x ; a)",
+                       "exists a . incl(x ; a)",
+                       "--domains", "2..2", "--budget", "5")
+    assert code == 0 and out.strip() == "equivalent"
 
 
 # --- derive ----------------------------------------------------------------
@@ -309,6 +314,42 @@ def test_dbcheck_deps_file_and_json(capsys, tmp_path):
     report = json.loads(out)
     assert code == 1 and report["verdict"] == "violated"
     assert len(report["violations"]) == 1
+
+
+# --- flags and input files ------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--rule", "dep2exc", "--mode", "strict", "dep(x, y)"],
+    ["derive", "incl(A ; B)", "-p", "incl(A ; B)", "--budget", "5"],
+    ["dbcheck", "--allow-unit-domain", "r.csv", "incl(A ; B)"],
+], ids=["translate-mode", "derive-budget", "dbcheck-unit-domain"])
+def test_search_flags_only_where_a_search_reads_them(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_game_has_no_mode_flag(capsys, split_fixture):
+    # The strict reading is --deterministic; --mode must neither be read
+    # as the lax question nor as an abbreviation of --model.
+    model, team, formula = split_fixture("prop-4.2-lax-vs-strict.json")
+    with pytest.raises(SystemExit) as exit_:
+        main(["game", "--mode", "strict", "--model", model, "--team", team,
+              formula])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--domain", "0,1", "--team", "{dir}", "x = x"],
+    ["dbcheck", "{dir}", "incl(A ; B)"],
+], ids=["check-team", "dbcheck-relation"])
+def test_unreadable_input_file_is_a_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # --- internal errors -------------------------------------------------------

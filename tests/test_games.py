@@ -6,8 +6,9 @@ from teamlogic.games import (
     find_uniform_winning, format_strategy, is_uniform, plays_following,
     reachable_under,
 )
+from teamlogic import translate
 from teamlogic.model import Model, Team
-from teamlogic.semantics import Mode, satisfies
+from teamlogic.semantics import Budget, BudgetExceeded, Mode, satisfies
 from teamlogic.syntax import (
     And, Equality, ExclAtom, InclAtom, Name, Or, parse,
 )
@@ -111,6 +112,34 @@ def test_position_cap():
     phi = parse("exists a b c d . (a = b /\\ c = d)")
     with pytest.raises(ArenaError):
         Arena(m, x, phi, position_cap=50)
+
+
+@pytest.mark.parametrize("text, deterministic, size", [
+    ("forall a b c d . (x = a \\/ x != a)", True, 3412),
+    ("forall a b c d . (x = a \\/ x != a \\/ excl(x ; a))", False, 5460),
+])
+def test_search_over_thousands_of_positions(text, deterministic, size):
+    # The solver must not recurse once per position it visits.
+    m = Model(tuple("0123"))
+    arena = build_arena(m, Team.from_tuples(("x",), [(d,) for d in m.domain]),
+                        parse(text))
+    assert len(arena.positions) == size
+    tau = find_uniform_winning(arena, deterministic=deterministic)
+    assert tau is not None and is_uniform(arena, tau)
+
+
+@pytest.mark.parametrize("rows, found, nodes", [
+    ([("0", "1"), ("1", "2"), ("2", "0")], True, 22),
+    ([("0", "1"), ("1", "2"), ("2", "0"), ("0", "0")], False, 139),
+])
+def test_search_spends_a_fixed_number_of_nodes(rows, found, nodes):
+    # Deterministic dep(x, y), compiled: the smallest budget that decides.
+    phi = translate.compile(parse("dep(x, y)"), frozenset({"incl", "excl"}))
+    arena = build_arena(Model(tuple("012")), team(rows), phi)
+    tau = find_uniform_winning(arena, deterministic=True, budget=Budget(nodes))
+    assert (tau is not None) == found
+    with pytest.raises(BudgetExceeded):
+        find_uniform_winning(arena, deterministic=True, budget=Budget(nodes - 1))
 
 
 # --- agreement with team semantics ----------------------------------------

@@ -9,7 +9,7 @@ from teamlogic.semantics import (
     Budget, BudgetExceeded, Evaluator, Mode, check_atom, check_dependence,
     check_equiextension, check_exclusion, check_inclusion, check_independence,
     flatten_and, flatten_or, is_downward_closed, is_union_closed, satisfies,
-    satisfies_sentence, tarski,
+    Verdict, satisfies_sentence, tarski,
 )
 from teamlogic.syntax import (
     And, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall, InclAtom,
@@ -101,14 +101,28 @@ def test_satisfies_sentence():
 
 def test_budget_exceeded_reported_not_raised():
     phi = parse("exists a b c . (incl(x ; a) \\/ incl(y ; b) \\/ incl(x ; c))")
+    budget = Budget(5)
     verdict = satisfies(M2, team([("0", "1"), ("1", "0")]), phi,
-                        budget=Budget(5))
+                        budget=budget)
     assert verdict.status == "budget_exceeded"
+    assert verdict.nodes_used == budget.nodes == 6
 
 
 def test_verdict_counts_nodes():
-    verdict = satisfies(M2, team([("0", "1")]), parse("x = y \\/ x != y"))
-    assert verdict.nodes_used > 0
+    budget = Budget()
+    verdict = satisfies(M2, team([("0", "1")]), parse("x = y \\/ x != y"),
+                        budget=budget)
+    assert verdict.nodes_used > 0 and verdict.nodes_used == budget.nodes
+
+
+@pytest.mark.parametrize("text", ["incl(x ; x) \\/ excl(x ; x)",
+                                  "exists z . dep(x, z)"])
+def test_strict_search_over_a_thousand_rows(text):
+    # One slot per row: the search core must not recurse once per slot.
+    dom = tuple(str(i) for i in range(34))
+    rows = list(itertools.product(dom, repeat=2))[:1100]
+    verdict = satisfies(Model(dom), team(rows), parse(text), Mode.STRICT)
+    assert verdict == Verdict("sat", 1103)
 
 
 # --- the fixture instances as unit facts -----------------------------------

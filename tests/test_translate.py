@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from teamlogic.model import Model, Team, all_teams
-from teamlogic.semantics import Mode, satisfies, satisfies_sentence
+from teamlogic.semantics import (
+    Budget, BudgetExceeded, Mode, satisfies, satisfies_sentence,
+)
 from teamlogic.syntax import (
     DepAtom, ExclAtom, InclAtom, IndepAtom, Name, free_variables, parse,
     parse_term, render, subformula_instances,
@@ -284,6 +286,19 @@ def test_eval_eso_function_enumeration():
     m = Model(DOM, functions={"S": {("0",): "1", ("1",): "0"}})
     eso = ESOFormula("A", 1, [SOSymbol("function", "f", 1)], matrix)
     assert not eval_eso(m, eso, set())
+
+
+def test_eval_eso_spends_a_fixed_number_of_nodes():
+    # The benchmark's eso probe shape: no interpretation of the split
+    # relations works, so the smallest budget that decides it is the
+    # whole search.
+    eso = ie_to_eso(parse("forall z . (x != z \\/ z != x /\\ excl(x ; y))"),
+                    ("x", "y"))
+    m3 = Model(("0", "1", "2"))
+    relation = {("0", "1"), ("1", "2")}
+    assert not eval_eso(m3, eso, relation, Budget(1088))
+    with pytest.raises(BudgetExceeded):
+        eval_eso(m3, eso, relation, Budget(1087))
 
 
 def _team_relation(team, variables):

@@ -22,7 +22,7 @@ from .semantics import (
     check_dependence, check_independence, check_inclusion, check_exclusion,
     check_equiextension,
 )
-from .games import build_arena, plays_following, is_uniform, find_uniform_winning
+from .games import build_arena, is_uniform, find_uniform_winning
 from .translate import (
     const_pushout, const_normal_form, const_sentence_collapse,
     dep_to_indep, dep_to_exc, exc_to_dep, equi_to_inc, inc_to_equi,

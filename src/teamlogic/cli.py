@@ -139,8 +139,8 @@ def cmd_translate(args):
         nf = translate.parse_skolemnf(text)
         if not args.team_vars:
             raise UsageError("snf2ie needs --team-vars")
-        out = translate.skolemnf_to_ie(nf, _comma_vars(args.team_vars),
-                                       expand_deps=args.expand_deps)
+        out = _expand_deps(
+            translate.skolemnf_to_ie(nf, _comma_vars(args.team_vars)), args)
         _emit(args, {"formula": render(out)}, [render(out)])
         return EXIT_SAT
     phi = parse(args.formula)
@@ -171,6 +171,13 @@ def cmd_translate(args):
     return EXIT_SAT
 
 
+def _expand_deps(phi, args):
+    """--expand-deps: rewrite the dependence atoms into exclusion atoms."""
+    if args.expand_deps:
+        return translate.compile(phi, frozenset({"incl", "excl"}))
+    return phi
+
+
 def _translate_atom(rule, phi, args):
     table = {
         "dep2indep": (DepAtom, lambda a: translate.dep_to_indep(a.args)),
@@ -180,9 +187,8 @@ def _translate_atom(rule, phi, args):
         "inc2equi": (InclAtom, lambda a: translate.inc_to_equi(a.left, a.right)),
         "inc2indep": (InclAtom, lambda a: translate.inc_to_indep(a.left, a.right)),
         "indep2ie": (IndepAtom,
-                     lambda a: translate.indep_to_ie(
-                         a.cond, a.left, a.right,
-                         expand_deps=args.expand_deps)),
+                     lambda a: _expand_deps(
+                         translate.indep_to_ie(a.cond, a.left, a.right), args)),
     }
     if rule not in table:
         raise UsageError("unknown rule %r" % rule)

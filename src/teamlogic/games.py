@@ -45,7 +45,7 @@ def _position_key(position):
 class Arena:
     """Immutable game graph built from a model, team and formula."""
 
-    def __init__(self, model, team, formula, position_cap=DEFAULT_POSITION_CAP):
+    def __init__(self, model, team, formula):
         for _path, sub in subformula_instances(formula):
             if isinstance(sub, ATOMS) and not isinstance(
                     sub, LITERALS + (InclAtom, ExclAtom)):
@@ -64,8 +64,9 @@ class Arena:
             position = queue.pop()
             if position in self.successors:
                 continue
-            if len(self.successors) >= position_cap:
-                raise ArenaError("arena exceeds %d positions" % position_cap)
+            if len(self.successors) >= DEFAULT_POSITION_CAP:
+                raise ArenaError("arena exceeds %d positions"
+                                 % DEFAULT_POSITION_CAP)
             path, s = position
             sub = self.subformula[path]
             if isinstance(sub, (And, Or)):
@@ -93,8 +94,8 @@ class Arena:
         return PLAYER_II if tarski(self.model, s, sub) else PLAYER_I
 
 
-def build_arena(model, team, formula, position_cap=DEFAULT_POSITION_CAP):
-    return Arena(model, team, formula, position_cap)
+def build_arena(model, team, formula):
+    return Arena(model, team, formula)
 
 
 class Strategy:
@@ -106,9 +107,6 @@ class Strategy:
         for pos, succ in self.choices.items():
             if not succ:
                 raise ValueError("empty choice set at %r" % (pos,))
-
-    def is_deterministic(self):
-        return all(len(succ) == 1 for succ in self.choices.values())
 
 
 def reachable_under(arena, tau):
@@ -130,27 +128,6 @@ def reachable_under(arena, tau):
         else:
             queue.extend(arena.successors[position])
     return reached
-
-
-def plays_following(arena, tau):
-    """All complete plays where II moves inside tau."""
-    plays = []
-
-    def walk(prefix):
-        position = prefix[-1]
-        if arena.is_terminal(position):
-            plays.append(tuple(prefix))
-            return
-        if arena.turn[position] == PLAYER_II:
-            nexts = tau.choices[position]
-        else:
-            nexts = arena.successors[position]
-        for succ in nexts:
-            walk(prefix + [succ])
-
-    for start in arena.initial:
-        walk([start])
-    return plays
 
 
 def _uniformity_ok(arena, reached):

@@ -267,24 +267,6 @@ class Team:
         rows = {row.extended(var, value) for row in self.rows for value in domain}
         return Team(variables, rows)
 
-    def extend_function(self, var, choice):
-        """X[F/x] for a choice function mapping each row to one value."""
-        variables = self.variables if var in self.variables else self.variables + (var,)
-        rows = {row.extended(var, choice[row]) for row in self.rows}
-        return Team(variables, rows)
-
-    def extend_multifunction(self, var, choice):
-        """X[H/x] for a map from rows to nonempty value sets."""
-        variables = self.variables if var in self.variables else self.variables + (var,)
-        rows = set()
-        for row in self.rows:
-            values = choice[row]
-            if not values:
-                raise ModelError("empty value set in team extension")
-            for value in values:
-                rows.add(row.extended(var, value))
-        return Team(variables, rows)
-
     def relation(self, model, terms):
         """X(t1 ... tk): the set of term-value tuples over the team."""
         return {tuple(eval_term(model, row, t) for t in terms) for row in self.rows}

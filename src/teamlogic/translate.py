@@ -22,7 +22,7 @@ from .syntax import (
     ATOMS, LITERALS,
     conjoin, disjoin, exists_block, flatten_and, forall_block,
     free_names, term_names, is_first_order, negate_nnf, parse, render,
-    substitute, subformula_instances, substitute_term, symbol_arities,
+    substitute, substitute_term, symbol_arities,
     fresh_vars,
 )
 from .semantics import Budget, tarski
@@ -51,10 +51,14 @@ def _all_names(phi):
 
 def tuple_equal(left, right):
     """z1...zk = t1...tk as a conjunction of component equalities."""
+    if not left:
+        raise TranslateError("tuple equality needs a nonempty tuple")
     return conjoin([Equality(a, b) for a, b in zip(left, right)])
 
 
 def tuple_unequal(left, right):
+    if not left:
+        raise TranslateError("tuple disequality needs a nonempty tuple")
     return disjoin([Equality(a, b, positive=False) for a, b in zip(left, right)])
 
 
@@ -66,20 +70,19 @@ def _is_constancy(phi):
     return isinstance(phi, DepAtom) and len(phi.args) == 1
 
 
-def _find_constancy(phi):
-    """Pre-order path of the first constancy atom, or None."""
-    return next((path for path, sub in subformula_instances(phi)
-                 if _is_constancy(sub)), None)
+def _rewrite_atoms(phi, fix):
+    """phi with each atom a replaced by fix(a) wherever that is not None.
 
-
-def _replace_at(phi, path, replacement):
-    if not path:
-        return replacement
+    Atoms are visited in pre-order, so fix may draw fresh names in the
+    order the atoms are written.
+    """
+    if isinstance(phi, ATOMS):
+        out = fix(phi)
+        return phi if out is None else out
     if isinstance(phi, (And, Or)):
-        if path[0] == 0:
-            return type(phi)(_replace_at(phi.left, path[1:], replacement), phi.right)
-        return type(phi)(phi.left, _replace_at(phi.right, path[1:], replacement))
-    return type(phi)(phi.var, _replace_at(phi.body, path[1:], replacement))
+        return type(phi)(_rewrite_atoms(phi.left, fix),
+                         _rewrite_atoms(phi.right, fix))
+    return type(phi)(phi.var, _rewrite_atoms(phi.body, fix))
 
 
 def const_pushout(phi):
@@ -88,41 +91,41 @@ def const_pushout(phi):
     dep(t) is replaced in place by z = t for a fresh z, and the result
     wrapped as exists z . (dep(z) /\\ ...).
     """
-    path = _find_constancy(phi)
-    if path is None:
-        raise TranslateError("no constancy atom to lift")
     z = fresh_vars(1, _all_names(phi))[0]
-    target = phi
-    for step in path:
-        target = (target.left, target.right)[step] if isinstance(target, (And, Or)) \
-            else target.body
-    inner = _replace_at(phi, path, Equality(Name(z), target.args[0]))
+    lifted = []
+
+    def fix(atom):
+        if lifted or not _is_constancy(atom):
+            return None
+        lifted.append(atom)
+        return Equality(Name(z), atom.args[0])
+
+    inner = _rewrite_atoms(phi, fix)
+    if not lifted:
+        raise TranslateError("no constancy atom to lift")
     return Exists(z, And(DepAtom((Name(z),)), inner))
-
-
-def _constancy_paths(phi, path=()):
-    if _is_constancy(phi):
-        yield path, phi
-    elif isinstance(phi, DepAtom):
-        raise TranslateError("wide dependence atom outside constancy logic")
-    elif isinstance(phi, (IndepAtom, InclAtom, ExclAtom, EquiAtom)):
-        raise TranslateError("non-constancy dependency atom")
-    elif isinstance(phi, (And, Or)):
-        yield from _constancy_paths(phi.left, path + (0,))
-        yield from _constancy_paths(phi.right, path + (1,))
-    elif isinstance(phi, (Exists, Forall)):
-        yield from _constancy_paths(phi.body, path + (0,))
 
 
 def const_normal_form(phi):
     """exists z1..zn (dep(z1) /\\ ... /\\ dep(zn) /\\ psi) with psi first order."""
-    spots = list(_constancy_paths(phi))
-    if not spots:
+    used = _all_names(phi)
+    names = []
+
+    def fix(atom):
+        if _is_constancy(atom):
+            z = fresh_vars(1, used)[0]
+            used.add(z)
+            names.append(z)
+            return Equality(Name(z), atom.args[0])
+        if isinstance(atom, DepAtom):
+            raise TranslateError("wide dependence atom outside constancy logic")
+        if isinstance(atom, (IndepAtom, InclAtom, ExclAtom, EquiAtom)):
+            raise TranslateError("non-constancy dependency atom")
+        return None
+
+    body = _rewrite_atoms(phi, fix)
+    if not names:
         return phi
-    names = fresh_vars(len(spots), _all_names(phi))
-    body = phi
-    for (path, atom), z in zip(spots, names):
-        body = _replace_at(body, path, Equality(Name(z), atom.args[0]))
     parts = [DepAtom((Name(z),)) for z in names] + [body]
     return exists_block(names, conjoin(parts))
 
@@ -209,11 +212,11 @@ def inc_to_indep(t1s, t2s, avoid=()):
     return forall_block([v1, v2] + zs, disjoin([first, second, third]))
 
 
-def indep_to_ie(t1s, t2s, t3s, expand_deps=False, avoid=()):
+def indep_to_ie(t1s, t2s, t3s, avoid=()):
     t1s, t2s, t3s = tuple(t1s), tuple(t2s), tuple(t3s)
     w1, w2, w3 = len(t1s), len(t2s), len(t3s)
-    taken = _names_of_terms(t1s + t2s + t3s) | set(avoid)
-    names = fresh_vars(w1 + w2 + w3 + 4, taken)
+    names = fresh_vars(w1 + w2 + w3 + 4,
+                       _names_of_terms(t1s + t2s + t3s) | set(avoid))
     ps = names[:w1]
     qs = names[w1:w1 + w2]
     rs = names[w1 + w2:w1 + w2 + w3]
@@ -222,8 +225,6 @@ def indep_to_ie(t1s, t2s, t3s, expand_deps=False, avoid=()):
     qt = tuple(Name(n) for n in qs)
     rt = tuple(Name(n) for n in rs)
     deps = [DepAtom(pt + qt + rt + (Name(u),)) for u in (u1, u2, u3, u4)]
-    if expand_deps:
-        deps = [dep_to_exc(d.args, avoid=taken | set(names)) for d in deps]
     side1 = And(Equality(Name(u1), Name(u2), positive=False),
                 ExclAtom(pt + qt, t1s + t2s))
     side2 = conjoin([Equality(Name(u1), Name(u2)),
@@ -243,13 +244,6 @@ def indep_to_ie(t1s, t2s, t3s, expand_deps=False, avoid=()):
 
 _ATOM_KIND = {DepAtom: "dep", IndepAtom: "indep", InclAtom: "incl",
               ExclAtom: "excl", EquiAtom: "equi"}
-
-
-def _find_out_of_target(phi, target):
-    """Pre-order (path, atom) of the first atom outside target, or None."""
-    return next(((path, sub) for path, sub in subformula_instances(phi)
-                 if type(sub) in _ATOM_KIND
-                 and _ATOM_KIND[type(sub)] not in target), None)
 
 
 def _rewrite_atom(atom, target, avoid):
@@ -276,10 +270,6 @@ def _rewrite_atom(atom, target, avoid):
                          % (_ATOM_KIND[type(atom)], ", ".join(sorted(target))))
 
 
-# Bound on compile's rewriting passes, one atom per pass.
-_MAX_PASSES = 200
-
-
 def compile(phi, target):
     """Rewrite all atoms outside the target families, fresh vars globally.
 
@@ -288,14 +278,19 @@ def compile(phi, target):
     a downward-closed target ({dep, excl} subsets) and raise.
     """
     target = set(target)
-    for _ in range(_MAX_PASSES):
-        hit = _find_out_of_target(phi, target)
-        if hit is None:
-            return phi
-        path, atom = hit
-        replacement = _rewrite_atom(atom, target, _all_names(phi))
-        phi = _replace_at(phi, path, replacement)
-    raise TranslateError("translation did not converge")
+    # No translation drops a term of its atom, so the names seen so far
+    # are exactly the names of the formula rewritten so far.
+    used = _all_names(phi)
+
+    def fix(atom):
+        kind = _ATOM_KIND.get(type(atom))
+        if kind is None or kind in target:
+            return None
+        replacement = _rewrite_atom(atom, target, used)
+        used.update(_all_names(replacement))
+        return _rewrite_atoms(replacement, fix)
+
+    return _rewrite_atoms(phi, fix)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +308,8 @@ def tc_sentence(psi, avars, bvars, xvars, yvars):
     if not is_first_order(psi):
         raise TranslateError("edge formula must be first order")
     width = len(xvars)
+    if not width or any(len(vs) != width for vs in (avars, bvars, yvars)):
+        raise TranslateError("tc needs a, b, x and y tuples of one nonzero width")
     avoid = _all_names(psi) | set(xvars) | set(yvars) | set(avars) | set(bvars)
     names = fresh_vars(2 * width, avoid)
     zs, ws = names[:width], names[width:]
@@ -444,11 +441,12 @@ def ie_to_eso(phi, vs):
             ren = {v: Name(p) for v, p in zip(variables, primed)}
             mu2 = substitute(mu, ren)
             t2p = tuple(substitute_term(t, ren) for t in sub.right)
-            differ = disjoin([Equality(a, b, positive=False)
-                              for a, b in zip(sub.left, t2p)])
-            builder.require(forall_block(
-                list(variables) + primed,
-                disjoin([negate_nnf(mu), negate_nnf(mu2), differ])))
+            parts = [negate_nnf(mu), negate_nnf(mu2)]
+            # No two rows differ on zero terms: excl( ; ) needs the empty team.
+            if sub.left:
+                parts.append(tuple_unequal(sub.left, t2p))
+            builder.require(forall_block(list(variables) + primed,
+                                         disjoin(parts)))
             return
         if isinstance(sub, And):
             go(sub.left, mu, variables)
@@ -506,8 +504,11 @@ def ie_to_eso(phi, vs):
 
     mu0 = RelAtom("A", tuple(Name(v) for v in vs))
     go(phi, mu0, vs)
-    matrix = conjoin(builder.constraints) if builder.constraints \
-        else Equality(Name(vs[0]) if vs else Name("0"), Name(vs[0]) if vs else Name("0"))
+    if builder.constraints:
+        matrix = conjoin(builder.constraints)
+    else:
+        v = builder.fresh_vars(1)[0]
+        matrix = Forall(v, Equality(Name(v), Name(v)))
     return ESOFormula("A", len(vs), builder.prefix, matrix,
                       builder.guards)
 
@@ -631,19 +632,19 @@ def _replace_apps(phi, mapping):
             return App(t.func, tuple(fix_term(a) for a in t.args))
         return t
 
-    if isinstance(phi, RelAtom):
-        return RelAtom(phi.name, tuple(fix_term(t) for t in phi.args), phi.positive)
-    if isinstance(phi, Equality):
-        return Equality(fix_term(phi.left), fix_term(phi.right), phi.positive)
-    if isinstance(phi, (And, Or)):
-        return type(phi)(_replace_apps(phi.left, mapping),
-                         _replace_apps(phi.right, mapping))
-    if isinstance(phi, (Exists, Forall)):
-        return type(phi)(phi.var, _replace_apps(phi.body, mapping))
-    raise TranslateError("psi must be first order")
+    def fix(atom):
+        if isinstance(atom, RelAtom):
+            return RelAtom(atom.name, tuple(fix_term(t) for t in atom.args),
+                           atom.positive)
+        if isinstance(atom, Equality):
+            return Equality(fix_term(atom.left), fix_term(atom.right),
+                            atom.positive)
+        raise TranslateError("psi must be first order")
+
+    return _rewrite_atoms(phi, fix)
 
 
-def skolemnf_to_ie(nf, vs, expand_deps=False):
+def skolemnf_to_ie(nf, vs):
     """The team-logic equivalent of a normal-form ESO sentence.
 
     Output: ∀x⃗y⃗ ∃z⃗ (⋀i dep(w⃗i, zi) ∧ ((v⃗ ⊆ x⃗ ∧ z1 = z2) ∨
@@ -668,8 +669,6 @@ def skolemnf_to_ie(nf, vs, expand_deps=False):
     for (name, ws), z in zip(nf.functions, zs):
         wterms = tuple(ren[w] for w in ws)
         deps.append(DepAtom(wterms + (Name(z),)))
-    if expand_deps:
-        deps = [dep_to_exc(d.args, avoid=avoid | set(renames)) for d in deps]
     vterms = tuple(Name(v) for v in vs)
     # The inclusion side collects the rows whose x values name team tuples,
     # so the membership test must read "x values among the team values".

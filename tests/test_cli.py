@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -185,6 +186,46 @@ def test_translate_tc_requires_tuple_flags(capsys):
                        "--avars", "a", "--bvars", "b",
                        "--xvars", "x", "--yvars", "y", "E(x, y)")
     assert code == 0 and "incl(" in out
+
+
+@pytest.mark.parametrize("avars, xvars", [("a,b", "x"), ("a", "x,w")])
+def test_translate_tc_rejects_mismatched_widths(capsys, avars, xvars):
+    code, out, err = run(capsys, "translate", "--rule", "tc",
+                         "--avars", avars, "--bvars", "c",
+                         "--xvars", xvars, "--yvars", "y", "E(x, y)")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("rule, formula", [
+    ("exc2dep", "excl( ; )"), ("inc2equi", "incl( ; )"),
+    ("inc2indep", "incl( ; )"),
+])
+def test_translate_zero_width_atom_is_a_usage_error(capsys, rule, formula):
+    code, out, err = run(capsys, "translate", "--rule", rule, formula)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_translate_ie2eso_zero_width_exclusion(capsys):
+    code, out, _ = run(capsys, "translate", "--rule", "ie2eso",
+                       "--team-vars", "x", "excl( ; )")
+    assert code == 0
+    assert out.splitlines()[-1] == "matrix: forall x _v0 . (~A(x) \\/ ~A(_v0))"
+
+
+def test_translate_expand_deps_binds_a_fresh_variable_per_dep(
+        capsys, fixtures_dir):
+    expanded = re.compile(r"forall (_v\d+) \. \(\1 = ")
+    code, out, _ = run(capsys, "translate", "--rule", "indep2ie",
+                       "--expand-deps", "indep( ; x ; y)")
+    assert code == 0 and "dep(" not in out
+    assert expanded.findall(out) == ["_v6", "_v7", "_v8", "_v9"]
+    path = str(fixtures_dir / "thm-6-skolemnf-trivial.txt")
+    code, out, _ = run(capsys, "translate", "--rule", "snf2ie", "--from-file",
+                       "--expand-deps", "--team-vars", "v", path)
+    assert code == 0 and "dep(" not in out
+    assert expanded.findall(out) == ["_v3", "_v4"]
 
 
 def test_translate_snf2ie_from_file(capsys, fixtures_dir):

@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from teamlogic.games import (
     PLAYER_I, PLAYER_II, Arena, ArenaError, Strategy, build_arena,
-    find_uniform_winning, format_strategy, is_uniform, plays_following,
-    reachable_under,
+    find_uniform_winning, format_strategy, is_uniform, reachable_under,
 )
 from teamlogic import translate
 from teamlogic.model import Model, Team
@@ -47,16 +46,6 @@ def test_terminal_winners():
     arena = build_arena(M2, x, parse("incl(x ; y)"))
     (start,) = arena.initial
     assert arena.terminal_winner(start) == PLAYER_II
-
-
-def test_plays_following_counts():
-    x = team([("0", "0")])
-    arena = build_arena(M2, x, parse("exists z . z = x"))
-    (start,) = arena.initial
-    tau = Strategy({start: arena.successors[start]})
-    assert len(plays_following(arena, tau)) == 2
-    tau = Strategy({start: arena.successors[start][:1]})
-    assert len(plays_following(arena, tau)) == 1
 
 
 def test_uniformity_inclusion_needs_witness():
@@ -111,7 +100,7 @@ def test_position_cap():
     x = Team.from_tuples(("x",), [(d,) for d in m.domain])
     phi = parse("exists a b c d . (a = b /\\ c = d)")
     with pytest.raises(ArenaError):
-        Arena(m, x, phi, position_cap=50)
+        Arena(m, x, phi)
 
 
 @pytest.mark.parametrize("text, deterministic, size", [
@@ -173,4 +162,4 @@ def test_game_agrees_with_team_semantics(phi, x, deterministic):
     if tau is not None:
         assert is_uniform(arena, tau)
         if deterministic:
-            assert tau.is_deterministic()
+            assert all(len(succ) == 1 for succ in tau.choices.values())

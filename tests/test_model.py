@@ -76,17 +76,6 @@ def test_extend_universal_overwrites_existing_column():
     assert wide.variables == ("x", "y")
 
 
-def test_extend_function_and_multifunction():
-    x = Team.from_tuples(("x",), [("0",), ("1",)])
-    rows = x.sorted_rows()
-    ext = x.extend_function("y", {rows[0]: "1", rows[1]: "0"})
-    assert len(ext) == 2
-    multi = x.extend_multifunction("y", {rows[0]: {"0", "1"}, rows[1]: {"0"}})
-    assert len(multi) == 3
-    with pytest.raises(ModelError):
-        x.extend_multifunction("y", {rows[0]: set(), rows[1]: {"0"}})
-
-
 def test_team_json_round_trip(tmp_path):
     x = Team.from_tuples(("x", "y"), [("0", "1"), ("1", "0")])
     path = tmp_path / "t.json"

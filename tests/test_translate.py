@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -7,8 +8,8 @@ from teamlogic.semantics import (
     Budget, BudgetExceeded, Mode, satisfies, satisfies_sentence,
 )
 from teamlogic.syntax import (
-    DepAtom, ExclAtom, InclAtom, IndepAtom, Name, free_variables, parse,
-    parse_term, render, subformula_instances,
+    DepAtom, ExclAtom, InclAtom, IndepAtom, Name, conjoin, flatten_and,
+    free_variables, parse, parse_term, render, subformula_instances,
 )
 from teamlogic import translate
 from teamlogic.translate import (
@@ -179,7 +180,8 @@ def test_indep_to_ie_preserves_verdicts():
 
 def test_indep_to_ie_expanded_once_at_minimal_size():
     atom = IndepAtom((), (t("x"),), (t("y"),))
-    out = indep_to_ie(atom.cond, atom.left, atom.right, expand_deps=True)
+    out = compile_atoms(indep_to_ie(atom.cond, atom.left, atom.right),
+                        frozenset({"incl", "excl"}))
     assert not any(isinstance(sub, DepAtom)
                    for _p, sub in subformula_instances(out))
     assert_equivalent(atom, out, ("x", "y"), max_rows=1)
@@ -206,6 +208,44 @@ def test_compile_leaves_fo_alone():
     assert compile_atoms(phi, frozenset({"incl"})) == phi
 
 
+def test_compile_rewrites_many_atoms_in_one_pass():
+    # One rewrite per atom, each drawing its own fresh variable, with no
+    # cap on the number of atoms.
+    phi = conjoin([parse("dep(x, y)")] * 400)
+    start = time.perf_counter()
+    out = compile_atoms(phi, frozenset({"incl", "excl"}))
+    assert time.perf_counter() - start < 1.0
+    conjuncts = flatten_and(out)
+    assert len(conjuncts) == 400
+    assert [c.var for c in conjuncts] == ["_v%d" % i for i in range(400)]
+    assert render(conjuncts[-1]) == \
+        "forall _v399 . (_v399 = y \\/ excl(x, _v399 ; x, y))"
+
+
+def test_compile_rewrites_each_translation_before_moving_on():
+    # excl -> dep -> indep and equi -> incl -> indep: each chain runs to
+    # the target before the next atom draws its fresh names.
+    out = compile_atoms(parse("excl(x ; y) /\\ equi(x ; y)"),
+                        frozenset({"indep"}))
+    assert render(out) == (
+        "forall _v0 . exists _v1 _v2 . (indep(_v0 ; _v1 ; _v1) /\\ "
+        "indep(_v0 ; _v2 ; _v2) /\\ (_v1 = _v2 /\\ _v0 != x \\/ "
+        "_v1 != _v2 /\\ _v0 != y)) /\\ (forall _v3 _v4 _v5 . "
+        "(_v5 != x /\\ _v5 != y \\/ _v3 != _v4 /\\ _v5 != y \\/ "
+        "(_v3 = _v4 \\/ _v5 = y) /\\ indep( ; _v5 ; _v3, _v4)) /\\ "
+        "forall _v6 _v7 _v8 . (_v8 != y /\\ _v8 != x \\/ "
+        "_v6 != _v7 /\\ _v8 != x \\/ (_v6 = _v7 \\/ _v8 = x) /\\ "
+        "indep( ; _v8 ; _v6, _v7)))")
+
+
+def test_zero_width_atoms_have_no_tuple_translation():
+    for rewrite in (exc_to_dep, inc_to_equi, inc_to_indep):
+        with pytest.raises(TranslateError):
+            rewrite((), ())
+    with pytest.raises(TranslateError):
+        compile_atoms(parse("incl( ; )"), frozenset({"indep"}))
+
+
 # --- transitive closure sentences ------------------------------------------
 
 
@@ -213,6 +253,16 @@ def graph_model(nodes, edges, a, b):
     return Model([str(n) for n in nodes],
                  constants={"ca": str(a), "cb": str(b)},
                  relations={"E": [(str(u), str(v)) for u, v in edges]})
+
+
+@pytest.mark.parametrize("avars, bvars, xvars, yvars", [
+    (("a", "b"), ("c",), ("x",), ("y",)),
+    (("a",), ("c",), ("x", "w"), ("y",)),
+    ((), (), (), ()),
+])
+def test_tc_sentence_rejects_mismatched_widths(avars, bvars, xvars, yvars):
+    with pytest.raises(TranslateError):
+        tc_sentence(parse("E(x, y)"), avars, bvars, xvars, yvars)
 
 
 def test_tc_sentence_matches_reachability():
@@ -310,7 +360,8 @@ def test_ie_to_eso_matches_lax_satisfaction():
     for text in ("incl(x ; y)", "x = y", "excl(x ; y)",
                  "incl(x ; y) \\/ incl(y ; x)",
                  "exists z . (incl(y ; z) /\\ incl(x ; z))",
-                 "forall z . (z = y \\/ excl(x, z ; x, y))"):
+                 "forall z . (z = y \\/ excl(x, z ; x, y))",
+                 "excl( ; )", "incl( ; )"):
         phi = parse(text)
         eso = ie_to_eso(phi, vs)
         for team in all_teams(vs, DOM, max_rows=2):

@@ -8,15 +8,25 @@ the workloads from perfbench/ of the current directory, so the same
 script replays any checkout.  For each workload, seed and round it runs
 perfbench/workloads.execute on every query and prints one line:
 
-    workload seed round kind outcome nodes_used
+    workload seed round kind outcome nodes [strategy]
 
-Two checkouts give the same verdicts with no more search nodes when
-their outputs differ in no outcome and in no node count upwards, which
-one diff shows.  Set PYTHONHASHSEED to make the node counts repeat
-exactly: set iteration order decides how soon some searches stop.
+nodes is what the query's semantics.Budget counted, for the team
+search, eval_eso and the game solver alike (0 for the dependency
+queries, which take no budget).  A game query that finds a strategy
+adds the first 12 hex digits of the SHA-1 of its format_strategy text,
+and "-" when there is none.  The script reads both by wrapping
+semantics.Budget and games.find_uniform_winning for the length of the
+replay, as perfbench/tracing.py wraps the program's functions.
+
+Two checkouts give the same verdicts and strategies with no more search
+nodes when their outputs differ in no outcome or strategy and in no node
+count upwards, which one diff shows.  Set PYTHONHASHSEED to make the
+node counts repeat exactly: set iteration order decides how soon some
+searches stop.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -34,16 +44,42 @@ def main():
     args = parser.parse_args()
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("perfbench", "src", "tests")]
     import workloads
+    from teamlogic import games, semantics
 
+    budgets, strategies = [], []
+
+    class Budget(semantics.Budget):
+        def __post_init__(self):
+            super().__post_init__()
+            budgets.append(self)
+
+    solve = games.find_uniform_winning
+
+    def find_uniform_winning(arena, *args, **kwargs):
+        tau = solve(arena, *args, **kwargs)
+        text = None if tau is None else games.format_strategy(arena, tau)
+        strategies.append(text)
+        return tau
+
+    semantics.Budget = Budget
+    games.find_uniform_winning = find_uniform_winning
     fixtures = os.path.join(ROOT, "fixtures")
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
             stream = workloads.Stream(workload, seed, fixtures)
             for index in range(args.rounds):
                 for q in stream.round(index):
+                    budgets.clear()
+                    strategies.clear()
                     outcome, nodes = workloads.execute(q)
-                    print(workload, seed, index, q.kind,
-                          "".join(repr(outcome).split()), nodes)
+                    fields = [workload, seed, index, q.kind,
+                              "".join(repr(outcome).split()),
+                              budgets[-1].nodes if budgets else nodes]
+                    if q.op == "game" and strategies:
+                        text = strategies[-1]
+                        fields.append("-" if text is None else hashlib.sha1(
+                            text.encode()).hexdigest()[:12])
+                    print(*fields)
     return 0
 
 

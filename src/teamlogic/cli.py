@@ -70,6 +70,20 @@ def _load_team(args, model):
     return team
 
 
+def _check_symbols(model, phi):
+    """Every relation and function of phi is the model's, at its arity."""
+    relations, functions = symbol_arities(phi)
+    for kind, used, table in (("relation", relations, model.relations),
+                              ("function", functions, model.functions)):
+        for name, arity in sorted(used.items()):
+            if name not in table:
+                raise UsageError("%s %s is not in the model" % (kind, name))
+            known = {len(key) for key in table[name]}
+            if known and known != {arity}:
+                raise UsageError("%s %s has arity %d in the model, %d in "
+                                 "the formula" % (kind, name, known.pop(), arity))
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -78,6 +92,7 @@ def cmd_check(args):
     model = _load_model(args)
     team = _load_team(args, model)
     phi = parse(args.formula)
+    _check_symbols(model, phi)
     if team is None:
         verdict = satisfies_sentence(model, phi, _mode(args), _budget(args))
     else:
@@ -100,6 +115,7 @@ def cmd_game(args):
     if team is None:
         raise UsageError("game needs a --team file")
     phi = parse(args.formula)
+    _check_symbols(model, phi)
     if args.compile:
         phi = translate.compile(phi, frozenset({"incl", "excl"}))
     try:
@@ -129,8 +145,22 @@ def _comma_vars(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+# The translate flags each rule reads; a rule rejects the others.
+_RULE_FLAGS = {
+    "snf2ie": ("team_vars", "expand_deps", "from_file"),
+    "ie2eso": ("team_vars",),
+    "tc": ("avars", "bvars", "xvars", "yvars"),
+    "indep2ie": ("expand_deps",),
+}
+
+
 def cmd_translate(args):
     rule = args.rule
+    unread = set().union(*_RULE_FLAGS.values()) - set(_RULE_FLAGS.get(rule, ()))
+    for flag in sorted(unread):
+        if getattr(args, flag) not in (None, False):
+            raise UsageError("rule %s takes no --%s"
+                             % (rule, flag.replace("_", "-")))
     if rule == "snf2ie":
         text = args.formula
         if args.from_file:

@@ -150,14 +150,26 @@ def parse_dependency(text):
         if m:
             head_vars = tuple(m.group(1).split())
             head_text = m.group(2)
-        return Tgd(_atoms(body_text), head_vars, _atoms(head_text))
+        body, head = _atoms(body_text), _atoms(head_text)
+        _bound(body, _body_vars(head), head_vars)
+        return Tgd(body, head_vars, head)
     if text.startswith("egd:"):
         body_text, _, head_text = text[4:].partition("->")
         m = re.fullmatch(r"\s*(\w+)\s*=\s*(\w+)\s*", head_text)
         if not m:
             raise ParseError("egd head must be a single equality")
-        return Egd(_atoms(body_text), m.group(1), m.group(2))
+        body = _atoms(body_text)
+        _bound(body, m.groups())
+        return Egd(body, m.group(1), m.group(2))
     raise ParseError("unrecognized dependency: %r" % text)
+
+
+def _bound(body, head_vars, exists_vars=()):
+    """Every head variable occurs in the body or is bound by exists."""
+    unbound = set(head_vars) - set(_body_vars(body)) - set(exists_vars)
+    if unbound:
+        raise DependencyError("head variable %s is neither in the body nor "
+                              "bound by exists" % ", ".join(sorted(unbound)))
 
 
 def _attrs(text):
@@ -249,6 +261,11 @@ def find_violation(relation, dep, universe=None):
             seen.setdefault(key, row)
         return None
     if isinstance(dep, (Tgd, Egd)):
+        for atom in dep.body + (dep.head if isinstance(dep, Tgd) else ()):
+            if atom[0] == "A" and len(atom[1]) != len(relation.attributes):
+                raise DependencyError("%s has width %d, the relation %d"
+                                      % (_atom_text(atom), len(atom[1]),
+                                         len(relation.attributes)))
         domain = list(universe) if universe else relation.active_domain()
         body_vars = _body_vars(dep.body)
         for values in itertools.product(domain, repeat=len(body_vars)):

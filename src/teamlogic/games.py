@@ -5,27 +5,23 @@ with an assignment.  Player II moves at disjunctions and existentials,
 Player I at conjunctions and universals.  First order literals are
 terminal and won by II exactly when Tarski-satisfied; inclusion and
 exclusion atoms are always II-winning terminals, but constrain which
-strategies count as uniform:
-
-* for every reached inclusion-atom position there must be a reached
-  position at the same occurrence whose right-tuple value matches the
-  left-tuple value;
-* no two reached positions at the same exclusion-atom occurrence may
-  share a left/right tuple value.
+strategies count as uniform: the assignments reached at one atom
+occurrence form a team, and that team must satisfy the atom.
 
 Uniform (optionally deterministic) winning strategies for II match lax
 (respectively strict) team satisfaction; the tests cross-check this
 against the semantics module.
 """
 
+import heapq
 import itertools
 
-from .model import eval_term
+from .model import Team, eval_term
 from .syntax import (
     And, Or, Exists, Forall, InclAtom, ExclAtom,
     LITERALS, ATOMS, render, subformula_instances,
 )
-from .semantics import Budget, tarski
+from .semantics import Budget, check_atom, tarski
 
 PLAYER_I = "I"
 PLAYER_II = "II"
@@ -42,8 +38,24 @@ def _position_key(position):
     return (path, assignment.items())
 
 
+def _reach(start, step):
+    """The positions reached from start, where step(p) lists p's next ones."""
+    reached = set()
+    queue = list(start)
+    while queue:
+        position = queue.pop()
+        if position not in reached:
+            reached.add(position)
+            queue.extend(step(position))
+    return reached
+
+
 class Arena:
-    """Immutable game graph built from a model, team and formula."""
+    """Immutable game graph built from a model, team and formula.
+
+    order sorts the positions by path, then assignment, once; rank maps
+    each position to its index there, the solver's visiting order.
+    """
 
     def __init__(self, model, team, formula):
         for _path, sub in subformula_instances(formula):
@@ -55,33 +67,31 @@ class Arena:
         self.model = model
         self.formula = formula
         self.subformula = dict(subformula_instances(formula))
-        self.initial = tuple(sorted(
-            (((), row) for row in team.rows), key=_position_key))
         self.successors = {}
         self.turn = {}
-        queue = list(self.initial)
-        while queue:
-            position = queue.pop()
-            if position in self.successors:
-                continue
-            if len(self.successors) >= DEFAULT_POSITION_CAP:
-                raise ArenaError("arena exceeds %d positions"
-                                 % DEFAULT_POSITION_CAP)
-            path, s = position
-            sub = self.subformula[path]
-            if isinstance(sub, (And, Or)):
-                succ = ((path + (0,), s), (path + (1,), s))
-                self.turn[position] = PLAYER_II if isinstance(sub, Or) else PLAYER_I
-            elif isinstance(sub, (Exists, Forall)):
-                succ = tuple((path + (0,), s.extended(sub.var, m))
-                             for m in model.domain)
-                self.turn[position] = PLAYER_II if isinstance(sub, Exists) else PLAYER_I
-            else:
-                succ = ()
-                self.turn[position] = PLAYER_II
-            self.successors[position] = succ
-            queue.extend(succ)
-        self.positions = frozenset(self.successors)
+        self.positions = frozenset(
+            _reach((((), row) for row in team.rows), self._expand))
+        self.order = tuple(sorted(self.positions, key=_position_key))
+        self.rank = {p: i for i, p in enumerate(self.order)}
+        self.initial = self.order[:len(team.rows)]
+
+    def _expand(self, position):
+        if len(self.successors) >= DEFAULT_POSITION_CAP:
+            raise ArenaError("arena exceeds %d positions"
+                             % DEFAULT_POSITION_CAP)
+        path, s = position
+        sub = self.subformula[path]
+        if isinstance(sub, (And, Or)):
+            succ = ((path + (0,), s), (path + (1,), s))
+        elif isinstance(sub, (Exists, Forall)):
+            succ = tuple((path + (0,), s.extended(sub.var, m))
+                         for m in self.model.domain)
+        else:
+            succ = ()
+        self.successors[position] = succ
+        self.turn[position] = (PLAYER_I if isinstance(sub, (And, Forall))
+                               else PLAYER_II)
+        return succ
 
     def is_terminal(self, position):
         return not self.successors[position]
@@ -111,52 +121,34 @@ class Strategy:
 
 def reachable_under(arena, tau):
     """Positions reached from the initial ones when II follows tau."""
-    reached = set()
-    queue = list(arena.initial)
-    while queue:
-        position = queue.pop()
-        if position in reached:
-            continue
-        reached.add(position)
-        if arena.is_terminal(position):
-            continue
-        if arena.turn[position] == PLAYER_II:
-            if position not in tau.choices:
-                raise ValueError("strategy undefined at reachable position %r"
-                                 % (position,))
-            queue.extend(tau.choices[position])
-        else:
-            queue.extend(arena.successors[position])
-    return reached
+    def step(position):
+        if arena.turn[position] == PLAYER_I or arena.is_terminal(position):
+            return arena.successors[position]
+        if position not in tau.choices:
+            raise ValueError("strategy undefined at reachable position %r"
+                             % (position,))
+        return tau.choices[position]
+    return _reach(arena.initial, step)
+
+
+def _atom_teams(arena, positions):
+    """The team of assignments among positions at each incl/excl occurrence."""
+    rows = {}
+    for path, s in positions:
+        if isinstance(arena.subformula[path], (InclAtom, ExclAtom)):
+            rows.setdefault(path, []).append(s)
+    return {path: Team(group[0].variables(), group)
+            for path, group in rows.items()}
 
 
 def _uniformity_ok(arena, reached):
-    """Check both uniformity clauses on a reached position set."""
-    by_path = {}
-    for position in reached:
-        path, s = position
-        sub = arena.subformula[path]
-        if isinstance(sub, (InclAtom, ExclAtom)):
-            by_path.setdefault(path, []).append(s)
-    for path, rows in by_path.items():
-        sub = arena.subformula[path]
-        left = [tuple(eval_term(arena.model, s, t) for t in sub.left) for s in rows]
-        right = [tuple(eval_term(arena.model, s, t) for t in sub.right) for s in rows]
-        if isinstance(sub, InclAtom):
-            if any(lv not in right for lv in left):
-                return False
-        else:
-            if set(left) & set(right):
-                return False
-    return True
+    """Every incl/excl occurrence holds on the team reached there."""
+    return all(check_atom(arena.model, team, arena.subformula[path])
+               for path, team in _atom_teams(arena, reached).items())
 
 
 def is_uniform(arena, tau):
     return _uniformity_ok(arena, reachable_under(arena, tau))
-
-
-def _has_exclusion(arena):
-    return any(isinstance(sub, ExclAtom) for sub in arena.subformula.values())
 
 
 def _trim(arena):
@@ -173,45 +165,29 @@ def _trim(arena):
     while changed:
         changed = False
         for position in list(alive):
-            if arena.is_terminal(position):
-                if arena.terminal_winner(position) != PLAYER_II:
-                    alive.discard(position)
-                    changed = True
-                continue
-            succ = [p for p in arena.successors[position] if p in alive]
-            if arena.turn[position] == PLAYER_II:
-                if not succ:
-                    alive.discard(position)
-                    changed = True
+            succ = arena.successors[position]
+            if not succ:
+                keep = arena.terminal_winner(position) == PLAYER_II
+            elif arena.turn[position] == PLAYER_II:
+                keep = any(p in alive for p in succ)
             else:
-                if len(succ) != len(arena.successors[position]):
-                    alive.discard(position)
-                    changed = True
+                keep = all(p in alive for p in succ)
+            if not keep:
+                alive.discard(position)
+                changed = True
         # Inclusion witnesses must come from the surviving set.
-        by_path = {}
-        for position in alive:
-            path, _s = position
-            if isinstance(arena.subformula[path], InclAtom):
-                by_path.setdefault(path, []).append(position)
-        for path, group in by_path.items():
+        for path, team in _atom_teams(arena, alive).items():
             sub = arena.subformula[path]
-            right = {tuple(eval_term(arena.model, s, t) for t in sub.right)
-                     for _p, s in group}
-            for position in group:
-                _path, s = position
-                lv = tuple(eval_term(arena.model, s, t) for t in sub.left)
-                if lv not in right:
-                    alive.discard(position)
-                    changed = True
+            if isinstance(sub, InclAtom):
+                right = team.relation(arena.model, sub.right)
+                for s in team.rows:
+                    if tuple(eval_term(arena.model, s, t)
+                             for t in sub.left) not in right:
+                        alive.discard((path, s))
+                        changed = True
         # Keep only what the initial positions can still reach.
-        reached = set()
-        queue = [p for p in arena.initial if p in alive]
-        while queue:
-            position = queue.pop()
-            if position in reached:
-                continue
-            reached.add(position)
-            queue.extend(p for p in arena.successors[position] if p in alive)
+        reached = _reach((p for p in arena.initial if p in alive),
+                         lambda p: [q for q in arena.successors[p] if q in alive])
         if reached != alive:
             alive = reached
             changed = True
@@ -227,7 +203,8 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
     alive = _trim(arena)
     if any(p not in alive for p in arena.initial):
         return None
-    if not deterministic and not _has_exclusion(arena):
+    if not deterministic and not any(isinstance(sub, ExclAtom)
+                                     for sub in arena.subformula.values()):
         # The trimmed set is itself a valid reachable set: closed, all
         # terminals winning, inclusion positions witnessed within it.
         choices = {p: tuple(q for q in arena.successors[p] if q in alive)
@@ -236,41 +213,44 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
         return Strategy(choices)
 
     tick = (budget or Budget()).tick
+    order, rank = arena.order, arena.rank
 
-    def excl_conflict(position, reached):
-        path, s = position
-        sub = arena.subformula[path]
-        if not isinstance(sub, ExclAtom):
-            return False
-        peers = [q for q in reached if q[0] == path] + [position]
-        left = {tuple(eval_term(arena.model, q[1], t) for t in sub.left)
-                for q in peers}
-        right = {tuple(eval_term(arena.model, q[1], t) for t in sub.right)
-                 for q in peers}
-        return bool(left & right)
+    def excl_ok(position, reached):
+        path = position[0]
+        if not isinstance(arena.subformula[path], ExclAtom):
+            return True
+        peers = [order[r] for r in reached if order[r][0] == path]
+        return _uniformity_ok(arena, peers + [position])
 
-    # Depth first over the open positions, smallest first.  Only Player
-    # II's choices branch; each open choice is kept on a stack with the
-    # options it has left, so that the search needs no recursion per
-    # position.  One tick per visited state.
+    def push_open(frontier, reached, chosen):
+        for p in chosen:
+            if rank[p] not in reached:
+                heapq.heappush(frontier, rank[p])
+        return frontier
+
+    # Depth first over the open positions, smallest rank first.  Only
+    # Player II's choices branch; each open choice is kept on a stack
+    # with the options it has left and the frontier and reached set to
+    # resume from, so that the search needs no recursion per position.
+    # One tick per visited state; a rank pushed twice is dropped
+    # without one.
     choices = {}
-    stack = []  # (position, remaining option sets, rest, reached before)
-    frontier, reached = frozenset(arena.initial), frozenset()
+    stack = []  # (position, remaining option sets, frontier, reached before)
+    frontier = [rank[p] for p in arena.initial]
+    reached = set()
     while True:
+        while frontier and frontier[0] in reached:
+            heapq.heappop(frontier)
         tick()
         if frontier:
-            position = min(frontier, key=_position_key)
-            rest = frontier - {position}
-            if position in reached:
-                frontier = rest
-                continue
+            position = order[heapq.heappop(frontier)]
             if arena.is_terminal(position):
-                if not excl_conflict(position, reached):
-                    frontier, reached = rest, reached | {position}
+                if excl_ok(position, reached):
+                    reached.add(rank[position])
                     continue
             elif arena.turn[position] == PLAYER_I:
-                succ = set(arena.successors[position])
-                frontier, reached = rest | (succ - reached), reached | {position}
+                reached.add(rank[position])
+                push_open(frontier, reached, arena.successors[position])
                 continue
             else:
                 succ = [p for p in arena.successors[position] if p in alive]
@@ -280,8 +260,8 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
                     option_sets = [combo
                                    for size in range(1, len(succ) + 1)
                                    for combo in itertools.combinations(succ, size)]
-                stack.append((position, iter(option_sets), rest, reached))
-        elif _uniformity_ok(arena, reached):
+                stack.append((position, iter(option_sets), frontier, reached))
+        elif _uniformity_ok(arena, (order[r] for r in reached)):
             return Strategy(choices)
         # Take the next option of the newest open choice, dropping the
         # choices that have none left.
@@ -291,8 +271,8 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
             chosen = next(options, None)
             if chosen is not None:
                 choices[position] = chosen
-                frontier = rest | (set(chosen) - before)
-                reached = before | {position}
+                reached = before | {rank[position]}
+                frontier = push_open(list(rest), reached, chosen)
                 break
             stack.pop()
         else:

@@ -19,10 +19,10 @@ from .model import Assignment
 from .syntax import (
     And, Or, Exists, Forall, Name, App,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
-    ATOMS, LITERALS,
+    ATOMS, LITERALS, atom_term_tuples,
     conjoin, disjoin, exists_block, flatten_and, forall_block,
     free_names, term_names, is_first_order, negate_nnf, parse, render,
-    substitute, substitute_term, symbol_arities,
+    substitute, substitute_term, subformula_instances, symbol_arities,
     fresh_vars,
 )
 from .semantics import Budget, tarski
@@ -410,6 +410,8 @@ def ie_to_eso(phi, vs):
     row with its chosen values, universals rebind the column directly.
     """
     vs = tuple(vs)
+    if len(set(vs)) != len(vs):
+        raise TranslateError("repeated team variable in %s" % ", ".join(vs))
     missing = free_names(phi) - set(vs)
     if missing:
         raise TranslateError("free variables outside the team tuple: %s"
@@ -597,7 +599,8 @@ class SkolemNF:
     """A normal form ∃f1..fn ∀x⃗y⃗ ((A x⃗ ↔ f1(x⃗)=f2(x⃗)) ∧ psi).
 
     psi is quantifier-free FO over x⃗, y⃗ and the fixed applications
-    fi(w⃗i); the first two functions both take exactly x⃗.
+    fi(w⃗i); the first two functions both take exactly x⃗.  The function
+    names are distinct, and so are the variables of x⃗ and y⃗ together.
     """
 
     a_arity: int
@@ -612,6 +615,12 @@ class SkolemNF:
         self.functions = [(name, tuple(ws)) for name, ws in self.functions]
         if len(self.functions) < 2:
             raise TranslateError("normal form needs at least two functions")
+        names = [name for name, _ws in self.functions]
+        if len(set(names)) != len(names):
+            raise TranslateError("function names must be distinct")
+        quantified = self.xvars + self.yvars
+        if len(set(quantified)) != len(quantified):
+            raise TranslateError("x and y must be distinct variables")
         if self.functions[0][1] != self.xvars or self.functions[1][1] != self.xvars:
             raise TranslateError("the first two functions must take the x-tuple")
         if self.a_arity != len(self.xvars):
@@ -620,6 +629,16 @@ class SkolemNF:
         for _name, ws in self.functions:
             if not set(ws) <= allowed:
                 raise TranslateError("function arguments outside the quantified tuple")
+        declared = {name: tuple(Name(w) for w in ws) for name, ws in self.functions}
+        for _path, sub in subformula_instances(self.psi):
+            if not isinstance(sub, LITERALS + (And, Or)):
+                raise TranslateError("psi must be quantifier-free first order")
+            if isinstance(sub, LITERALS):
+                for t in itertools.chain.from_iterable(atom_term_tuples(sub)):
+                    if isinstance(t, App) and declared.get(t.func) != t.args:
+                        raise TranslateError(
+                            "psi may apply a function only to its declared "
+                            "variables: %s" % t)
 
 
 def _replace_apps(phi, mapping):
@@ -710,10 +729,16 @@ def parse_skolemnf(text):
     xvars = yvars = None
     functions = []
     psi = None
+    keys = set()
     for seg in segments[1:]:
-        key, _, rest = seg.partition(":")
+        key, colon, rest = seg.partition(":")
         key = key.strip()
         rest = rest.strip()
+        if not colon or not key:
+            raise TranslateError("segment %r has no 'key:'" % seg)
+        if key in keys:
+            raise TranslateError("segment %s given twice" % key)
+        keys.add(key)
         if key == "x":
             xvars = tuple(rest.split())
         elif key == "y":
@@ -724,6 +749,4 @@ def parse_skolemnf(text):
             functions.append((key, tuple(rest.split())))
     if xvars is None or yvars is None or psi is None:
         raise TranslateError("missing x, y or psi segment")
-    if not is_first_order(psi):
-        raise TranslateError("psi must be first order")
     return SkolemNF(a_arity, xvars, yvars, functions, psi)

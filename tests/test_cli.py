@@ -152,6 +152,25 @@ def test_game_requires_translated_atoms(capsys, split_fixture):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("subcommand", ["check", "game"])
+@pytest.mark.parametrize("formula", [
+    "R(x, x)", "S(x)", "f(x) = x", "g(x, x) = x",
+], ids=["relation-arity", "missing-relation", "missing-function",
+        "function-arity"])
+def test_formula_symbols_must_match_the_model(capsys, tmp_path, subcommand,
+                                              formula):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"domain": ["0", "1"],
+                                 "relations": {"R": [["0"]]},
+                                 "functions": {"g": {"0": "1", "1": "0"}}}))
+    team = tmp_path / "team.json"
+    team.write_text(json.dumps({"vars": ["x"], "rows": [["0"]]}))
+    code, out, err = run(capsys, subcommand, "--model", str(model),
+                         "--team", str(team), formula)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_game_needs_team(capsys):
     code, _, err = run(capsys, "game", "--domain", "0,1", "x = y")
     assert code == 2 and "team" in err
@@ -226,6 +245,34 @@ def test_translate_expand_deps_binds_a_fresh_variable_per_dep(
                        "--expand-deps", "--team-vars", "v", path)
     assert code == 0 and "dep(" not in out
     assert expanded.findall(out) == ["_v3", "_v4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rule", "dep2exc", "--expand-deps", "dep(x, y)"],
+    ["--rule", "dep2exc", "--team-vars", "x", "--avars", "q", "dep(x, y)"],
+    ["--rule", "ie2eso", "--team-vars", "x", "--expand-deps", "x = x"],
+    ["--rule", "tc", "--avars", "a", "--bvars", "b", "--xvars", "x",
+     "--yvars", "y", "--team-vars", "x", "E(x, y)"],
+], ids=["dep2exc-expand", "dep2exc-vars", "ie2eso-expand", "tc-team-vars"])
+def test_translate_rule_rejects_flags_it_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "translate", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_translate_ie2eso_rejects_a_repeated_team_variable(capsys):
+    code, out, err = run(capsys, "translate", "--rule", "ie2eso",
+                         "--team-vars", "x,x", "incl(x ; x)")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_translate_snf2ie_malformed_form_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "translate", "--rule", "snf2ie",
+                         "--team-vars", "v",
+                         "A/1 ; x: u ; y: ; f1: u ; f2: u ; psi: f1(f2(u)) = u")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_translate_snf2ie_from_file(capsys, fixtures_dir):
@@ -355,6 +402,18 @@ def test_dbcheck_deps_file_and_json(capsys, tmp_path):
     report = json.loads(out)
     assert code == 1 and report["verdict"] == "violated"
     assert len(report["violations"]) == 1
+
+
+@pytest.mark.parametrize("dependency", [
+    "tgd: A(x, y) -> A(y, z)", "egd: A(x, y) -> x = z",
+    "tgd: A(x) -> A(x)", "egd: A(x) -> x = x",
+], ids=["tgd-unbound", "egd-unbound", "tgd-width", "egd-width"])
+def test_dbcheck_malformed_generating_dependency(capsys, tmp_path, dependency):
+    csv = tmp_path / "ok.csv"
+    csv.write_text("A,B\n0,1\n1,0\n")
+    code, out, err = run(capsys, "dbcheck", str(csv), dependency)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 # --- flags and input files ------------------------------------------------

@@ -111,6 +111,21 @@ def test_find_violation_witnesses():
     assert find_violation(r, Ind(("B",), ("B",))) is None
 
 
+@pytest.mark.parametrize("text", [
+    "tgd: A(x, y) -> A(y, z)", "egd: A(x, y) -> x = z",
+])
+def test_head_variables_must_be_bound(text):
+    with pytest.raises(DependencyError):
+        parse_dependency(text)
+
+
+@pytest.mark.parametrize("text", ["tgd: A(x) -> A(x)", "egd: A(x) -> x = x",
+                                  "tgd: A(x, y) -> A(x, y, y)"])
+def test_atom_width_must_match_the_relation(text):
+    with pytest.raises(DependencyError):
+        find_violation(rel(("A", "B"), [("0", "1")]), parse_dependency(text))
+
+
 def test_csv_loader(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("A,B\n0,1\n1,0\n")

@@ -9,7 +9,7 @@ from teamlogic import translate
 from teamlogic.model import Model, Team
 from teamlogic.semantics import Budget, BudgetExceeded, Mode, satisfies
 from teamlogic.syntax import (
-    And, Equality, ExclAtom, InclAtom, Name, Or, parse,
+    And, Equality, Exists, ExclAtom, Forall, InclAtom, Name, Or, parse,
 )
 
 DOM = ("0", "1")
@@ -163,3 +163,52 @@ def test_game_agrees_with_team_semantics(phi, x, deterministic):
         assert is_uniform(arena, tau)
         if deterministic:
             assert all(len(succ) == 1 for succ in tau.choices.values())
+
+
+# --- three ways to decide one formula ---------------------------------------
+
+_small = st.recursive(
+    _ie_atoms,
+    lambda children: st.tuples(st.sampled_from((And, Or)), children,
+                               children).map(lambda p: p[0](p[1], p[2])),
+    max_leaves=2)
+
+
+def _quantified(bodies):
+    return st.tuples(st.sampled_from((Exists, Forall)), _names, bodies).map(
+        lambda p: p[0](p[1], p[2]))
+
+
+# At most 4 leaves and one quantifier, over the whole formula or one side.
+_one_quantifier = st.one_of(
+    _quantified(_ie_formulas),
+    st.tuples(st.sampled_from((And, Or)), _quantified(_small), _small,
+              st.booleans()).map(
+        lambda p: p[0](p[1], p[2]) if p[3] else p[0](p[2], p[1])),
+)
+
+
+@st.composite
+def _instances(draw):
+    dom = tuple(str(i) for i in range(draw(st.sampled_from((2, 3)))))
+    value = st.sampled_from(dom)
+    return Model(dom), team(draw(st.lists(st.tuples(value, value),
+                                          max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_quantifier, _instances())
+def test_team_game_and_eso_semantics_agree(phi, instance):
+    # Lax satisfaction is a uniform strategy and an ESO model; strict
+    # satisfaction is a deterministic uniform strategy.
+    m, x = instance
+    lax = satisfies(m, x, phi, Mode.LAX).is_sat
+    arena = build_arena(m, x, phi)
+    for deterministic, mode in ((False, Mode.LAX), (True, Mode.STRICT)):
+        tau = find_uniform_winning(arena, deterministic=deterministic)
+        assert (tau is not None) == satisfies(m, x, phi, mode).is_sat
+        assert tau is None or is_uniform(arena, tau)
+    if len(x) <= 2:
+        relation = {row.values_for(("x", "y")) for row in x.rows}
+        eso = translate.ie_to_eso(phi, ("x", "y"))
+        assert translate.eval_eso(m, eso, relation) == lax

@@ -375,6 +375,8 @@ def test_ie_to_eso_rejects_untranslated_atoms_and_stray_vars():
         ie_to_eso(parse("dep(x, y)"), ("x", "y"))
     with pytest.raises(TranslateError):
         ie_to_eso(parse("incl(x ; w)"), ("x", "y"))
+    with pytest.raises(TranslateError):
+        ie_to_eso(parse("incl(x ; x)"), ("x", "x"))
 
 
 # --- Skolem normal forms ---------------------------------------------------
@@ -386,6 +388,20 @@ def test_parse_skolemnf(fixtures_dir):
     assert nf.a_arity == 1
     assert nf.xvars == ("u",) and nf.yvars == ()
     assert [name for name, _w in nf.functions] == ["f1", "f2"]
+
+
+@pytest.mark.parametrize("text", [
+    "A/1 ; x: u ; y: ; f1: u ; f2: u ; psi: exists q . f1(u) = q",
+    "A/1 ; x: u ; y: w ; f1: u ; f2: u ; g: w ; psi: f1(u) = g(u)",
+    "A/1 ; x: u ; y: ; f1: u ; f2: u ; psi: f1(f2(u)) = u",
+    "A/1 ; x: u ; y: ; f1: u ; f2: u ; psi: f1(u) = f2(u) ; extra",
+    "A/1 ; x: u ; y: ; f1: u ; f2: u ; f1: u ; psi: f1(u) = f2(u)",
+    "A/1 ; x: u ; y: u ; f1: u ; f2: u ; psi: f1(u) = f2(u)",
+], ids=["quantified-psi", "wrong-arguments", "nested", "no-key",
+        "repeated-function", "shared-variable"])
+def test_parse_skolemnf_rejects_malformed_forms(text):
+    with pytest.raises(TranslateError):
+        parse_skolemnf(text)
 
 
 def test_skolemnf_to_ie_matches_phi_star(fixtures_dir):

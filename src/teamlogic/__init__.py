@@ -10,9 +10,8 @@ dependencies.
 
 from .syntax import (
     Name, App, RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom,
-    EquiAtom, And, Or, Exists, Forall, Signature,
-    parse, parse_term, render, free_variables, fresh_vars,
-    subformula_instances, ParseError,
+    EquiAtom, And, Or, Exists, Forall,
+    parse, render, fresh_vars, subformula_instances, ParseError,
 )
 from .model import (
     Model, Assignment, Team, ModelError, eval_term, all_teams,

@@ -46,6 +46,9 @@ class DBRelation:
             rows = list(reader)
         if not rows:
             raise DependencyError("empty relation file")
+        if len(set(rows[0])) != len(rows[0]):
+            raise DependencyError("repeated attribute in header %s"
+                                  % ",".join(rows[0]))
         return cls(rows[0], rows[1:])
 
 
@@ -198,22 +201,8 @@ def _atoms(text):
 
 
 def check_dependency(relation, dep, universe=None):
-    if isinstance(dep, Ind):
-        return relation.projection(dep.xs) <= relation.projection(dep.ys)
-    if isinstance(dep, Exd):
-        return not (relation.projection(dep.xs) & relation.projection(dep.ys))
-    if isinstance(dep, Fd):
-        seen = {}
-        xi = [relation.column_index(a) for a in dep.xs]
-        yi = relation.column_index(dep.y)
-        for row in relation.tuples:
-            key = tuple(row[i] for i in xi)
-            if seen.setdefault(key, row[yi]) != row[yi]:
-                return False
-        return True
-    if isinstance(dep, (Tgd, Egd)):
-        return find_violation(relation, dep, universe) is None
-    raise DependencyError("unknown dependency kind: %r" % (dep,))
+    """Whether the relation satisfies the dependency."""
+    return find_violation(relation, dep, universe) is None
 
 
 def _body_vars(atoms):
@@ -239,11 +228,8 @@ def find_violation(relation, dep, universe=None):
     inclusion/exclusion kinds) that exhibits the failure.
     """
     if isinstance(dep, Ind):
-        right = relation.projection(dep.ys)
-        for value in sorted(relation.projection(dep.xs)):
-            if value not in right:
-                return (value,)
-        return None
+        missing = relation.projection(dep.xs) - relation.projection(dep.ys)
+        return (min(missing),) if missing else None
     if isinstance(dep, Exd):
         shared = relation.projection(dep.xs) & relation.projection(dep.ys)
         if shared:

@@ -19,12 +19,14 @@ import itertools
 from .model import Team, eval_term
 from .syntax import (
     And, Or, Exists, Forall, InclAtom, ExclAtom,
-    LITERALS, ATOMS, render, subformula_instances,
+    LITERALS, render, subformula_instances,
 )
 from .semantics import Budget, check_atom, tarski
 
 PLAYER_I = "I"
 PLAYER_II = "II"
+
+_GAME_ATOMS = frozenset(LITERALS + (InclAtom, ExclAtom))
 
 DEFAULT_POSITION_CAP = 20_000
 
@@ -58,12 +60,13 @@ class Arena:
     """
 
     def __init__(self, model, team, formula):
-        for _path, sub in subformula_instances(formula):
-            if isinstance(sub, ATOMS) and not isinstance(
-                    sub, LITERALS + (InclAtom, ExclAtom)):
-                raise ArenaError(
-                    "game semantics covers FO/incl/excl only; translate %s first"
-                    % render(sub))
+        other = formula.kinds - _GAME_ATOMS
+        if other:
+            sub = next(sub for _path, sub in subformula_instances(formula)
+                       if type(sub) in other)
+            raise ArenaError(
+                "game semantics covers FO/incl/excl only; translate %s first"
+                % render(sub))
         self.model = model
         self.formula = formula
         self.subformula = dict(subformula_instances(formula))
@@ -203,8 +206,7 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
     alive = _trim(arena)
     if any(p not in alive for p in arena.initial):
         return None
-    if not deterministic and not any(isinstance(sub, ExclAtom)
-                                     for sub in arena.subformula.values()):
+    if not deterministic and ExclAtom not in arena.formula.kinds:
         # The trimmed set is itself a valid reachable set: closed, all
         # terminals winning, inclusion positions witnessed within it.
         choices = {p: tuple(q for q in arena.successors[p] if q in alive)

@@ -185,26 +185,18 @@ def check_atom(model, team, phi):
 # Closure classification
 
 
+_UNION_CLOSED = frozenset(LITERALS + (InclAtom, EquiAtom))
+_DOWNWARD_CLOSED = frozenset(LITERALS + (DepAtom, ExclAtom))
+
+
 def is_union_closed(phi):
     """Syntactic test: atoms drawn from {FO, incl, equi} only."""
-    if isinstance(phi, LITERALS + (InclAtom, EquiAtom)):
-        return True
-    if isinstance(phi, ATOMS):
-        return False
-    if isinstance(phi, (And, Or)):
-        return is_union_closed(phi.left) and is_union_closed(phi.right)
-    return is_union_closed(phi.body)
+    return phi.kinds <= _UNION_CLOSED
 
 
 def is_downward_closed(phi):
     """Syntactic test: atoms drawn from {FO, dep, excl} only."""
-    if isinstance(phi, LITERALS + (DepAtom, ExclAtom)):
-        return True
-    if isinstance(phi, ATOMS):
-        return False
-    if isinstance(phi, (And, Or)):
-        return is_downward_closed(phi.left) and is_downward_closed(phi.right)
-    return is_downward_closed(phi.body)
+    return phi.kinds <= _DOWNWARD_CLOSED
 
 
 # ---------------------------------------------------------------------------

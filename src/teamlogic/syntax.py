@@ -76,31 +76,69 @@ def substitute_term(term, mapping):
 
 # ---------------------------------------------------------------------------
 # Formulas
+#
+# Every formula node carries two facts, set once by its constructor from
+# its children: `free`, the frozenset of its free identifiers (variables
+# and constants alike), and `kinds`, the frozenset of the atom classes
+# occurring in it.  Neither is a dataclass field, so equality, hashing
+# and repr see the fields alone.
+
+
+def _set_facts(node, free, kinds):
+    facts = node.__dict__  # a frozen dataclass refuses setattr
+    facts["free"] = free
+    facts["kinds"] = kinds
+
+
+class _Atom:
+    def __post_init__(self):
+        free = set()
+        for terms in atom_term_tuples(self):
+            for t in terms:
+                free |= term_names(t)
+        _set_facts(self, frozenset(free), _ATOM_KINDS[type(self)])
+
+
+def _union(a, b):
+    """a | b, or the operand holding the other: most nodes add nothing to
+    one child's sets, and a new frozenset costs over 200 bytes."""
+    return a if b <= a else b if a <= b else a | b
+
+
+class _Connective:
+    def __post_init__(self):
+        _set_facts(self, _union(self.left.free, self.right.free),
+                   _union(self.left.kinds, self.right.kinds))
+
+
+class _Quantifier:
+    def __post_init__(self):
+        _set_facts(self, self.body.free - {self.var}, self.body.kinds)
 
 
 @dataclass(frozen=True)
-class RelAtom:
+class RelAtom(_Atom):
     name: str
     args: tuple
     positive: bool = True
 
 
 @dataclass(frozen=True)
-class Equality:
+class Equality(_Atom):
     left: object
     right: object
     positive: bool = True
 
 
 @dataclass(frozen=True)
-class DepAtom:
+class DepAtom(_Atom):
     """dep(t1, ..., tn): the value of tn is a function of t1 ... tn-1."""
 
     args: tuple
 
 
 @dataclass(frozen=True)
-class IndepAtom:
+class IndepAtom(_Atom):
     """indep(c; a; b): fixing the c-values, a-values and b-values vary freely."""
 
     cond: tuple
@@ -109,50 +147,51 @@ class IndepAtom:
 
 
 @dataclass(frozen=True)
-class InclAtom:
+class InclAtom(_Atom):
     left: tuple
     right: tuple
 
 
 @dataclass(frozen=True)
-class ExclAtom:
+class ExclAtom(_Atom):
     left: tuple
     right: tuple
 
 
 @dataclass(frozen=True)
-class EquiAtom:
+class EquiAtom(_Atom):
     left: tuple
     right: tuple
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Connective):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Connective):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Quantifier):
     var: str
     body: object
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Quantifier):
     var: str
     body: object
 
 
 LITERALS = (RelAtom, Equality)
-TEAM_ATOMS = (DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom)
-ATOMS = LITERALS + TEAM_ATOMS
+ATOMS = LITERALS + (DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom)
+_ATOM_KINDS = {cls: frozenset((cls,)) for cls in ATOMS}
+_FIRST_ORDER = frozenset(LITERALS)
 
 
 def atom_term_tuples(phi):
@@ -172,17 +211,7 @@ def atom_term_tuples(phi):
 
 def free_names(phi):
     """Free identifiers of a formula (variables and constants alike)."""
-    if isinstance(phi, ATOMS):
-        out = set()
-        for tup in atom_term_tuples(phi):
-            for t in tup:
-                out |= term_names(t)
-        return out
-    if isinstance(phi, (And, Or)):
-        return free_names(phi.left) | free_names(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return free_names(phi.body) - {phi.var}
-    raise TypeError("not a formula: %r" % (phi,))
+    return phi.free
 
 
 def symbol_arities(phi):
@@ -209,11 +238,6 @@ def symbol_arities(phi):
                 for t in tup:
                     walk_term(t)
     return relations, functions
-
-
-def free_variables(phi, constants=()):
-    """Free variables: free identifiers minus the given constant names."""
-    return free_names(phi) - set(constants)
 
 
 def fresh_vars(count, avoid):
@@ -284,13 +308,7 @@ def subformula_instances(phi, path=()):
 
 
 def is_first_order(phi):
-    if isinstance(phi, LITERALS):
-        return True
-    if isinstance(phi, TEAM_ATOMS):
-        return False
-    if isinstance(phi, (And, Or)):
-        return is_first_order(phi.left) and is_first_order(phi.right)
-    return is_first_order(phi.body)
+    return phi.kinds <= _FIRST_ORDER
 
 
 def negate_nnf(phi):
@@ -581,40 +599,9 @@ def _is_ident(tok):
     return tok is not None and re.fullmatch(r"[A-Za-z0-9_]+", tok) is not None
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Optional arity declarations checked after parsing.
-
-    functions and relations are pairs of a name and its arity; a name not
-    listed is accepted at any one arity, so a signature can be partial.
-    """
-
-    functions: tuple = ()
-    relations: tuple = ()
-
-    def check(self, phi):
-        relations, functions = symbol_arities(phi)
-        for kind, declared, used in (("function", self.functions, functions),
-                                     ("relation", self.relations, relations)):
-            for name, arity in declared:
-                if used.get(name, arity) != arity:
-                    raise ParseError("%s %s expects %d arguments"
-                                     % (kind, name, arity))
-
-
-def parse(text, sig=None):
+def parse(text):
     parser = _Parser(tokenize(text))
     out = parser.formula()
-    if parser.peek() is not None:
-        raise ParseError("trailing input at %r" % parser.peek())
-    if sig is not None:
-        sig.check(out)
-    return out
-
-
-def parse_term(text):
-    parser = _Parser(tokenize(text))
-    out = parser.term()
     if parser.peek() is not None:
         raise ParseError("trailing input at %r" % parser.peek())
     return out

@@ -42,8 +42,7 @@ def _names_of_terms(terms):
 def _all_names(phi):
     """Every identifier occurring in a formula, bound or free."""
     if isinstance(phi, ATOMS):
-        names = free_names(phi)
-        return set(names)
+        return set(free_names(phi))
     if isinstance(phi, (And, Or)):
         return _all_names(phi.left) | _all_names(phi.right)
     return _all_names(phi.body) | {phi.var}
@@ -301,15 +300,17 @@ def tc_sentence(psi, avars, bvars, xvars, yvars):
     """Sentence satisfied iff b is NOT reachable from a along psi-edges.
 
     psi is a first order edge formula with free variables xvars (source)
-    and yvars (target); avars/bvars are constant-name tuples.  The output
-    quantifies a team column holding a psi-closed set that contains a
-    and avoids b.
+    and yvars (target), all distinct; avars/bvars are constant-name
+    tuples.  The output quantifies a team column holding a psi-closed set
+    that contains a and avoids b.
     """
     if not is_first_order(psi):
         raise TranslateError("edge formula must be first order")
     width = len(xvars)
     if not width or any(len(vs) != width for vs in (avars, bvars, yvars)):
         raise TranslateError("tc needs a, b, x and y tuples of one nonzero width")
+    if len(set(xvars) | set(yvars)) != 2 * width:
+        raise TranslateError("x and y must be distinct variables")
     avoid = _all_names(psi) | set(xvars) | set(yvars) | set(avars) | set(bvars)
     names = fresh_vars(2 * width, avoid)
     zs, ws = names[:width], names[width:]

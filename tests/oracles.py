@@ -15,6 +15,42 @@ from teamlogic.syntax import (
 )
 
 
+def ref_term_names(term):
+    if isinstance(term, Name):
+        return {term.ident}
+    return set().union(*(ref_term_names(a) for a in term.args))
+
+
+def _ref_atom_terms(phi):
+    if isinstance(phi, RelAtom):
+        return phi.args
+    if isinstance(phi, Equality):
+        return (phi.left, phi.right)
+    if isinstance(phi, DepAtom):
+        return phi.args
+    if isinstance(phi, IndepAtom):
+        return phi.cond + phi.left + phi.right
+    return phi.left + phi.right
+
+
+def ref_free_names(phi):
+    """Free identifiers, by recursion on the formula."""
+    if isinstance(phi, (And, Or)):
+        return ref_free_names(phi.left) | ref_free_names(phi.right)
+    if isinstance(phi, (Exists, Forall)):
+        return ref_free_names(phi.body) - {phi.var}
+    return set().union(*(ref_term_names(t) for t in _ref_atom_terms(phi)))
+
+
+def ref_atom_kinds(phi):
+    """The classes of the atoms occurring in a formula, by recursion."""
+    if isinstance(phi, (And, Or)):
+        return ref_atom_kinds(phi.left) | ref_atom_kinds(phi.right)
+    if isinstance(phi, (Exists, Forall)):
+        return ref_atom_kinds(phi.body)
+    return {type(phi)}
+
+
 def ref_term(model, s, term):
     if isinstance(term, Name):
         v = s.get(term.ident)

@@ -216,6 +216,19 @@ def test_translate_tc_rejects_mismatched_widths(capsys, avars, xvars):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("xvars, yvars, formula", [
+    ("x", "x", "E(x, x)"), ("x,x", "y,y", "E(x, y)"),
+])
+def test_translate_tc_rejects_repeated_variables(capsys, xvars, yvars, formula):
+    width = len(xvars.split(","))
+    code, out, err = run(capsys, "translate", "--rule", "tc",
+                         "--avars", ",".join(["a"] * width),
+                         "--bvars", ",".join(["b"] * width),
+                         "--xvars", xvars, "--yvars", yvars, formula)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("rule, formula", [
     ("exc2dep", "excl( ; )"), ("inc2equi", "incl( ; )"),
     ("inc2indep", "incl( ; )"),
@@ -412,6 +425,15 @@ def test_dbcheck_malformed_generating_dependency(capsys, tmp_path, dependency):
     csv = tmp_path / "ok.csv"
     csv.write_text("A,B\n0,1\n1,0\n")
     code, out, err = run(capsys, "dbcheck", str(csv), dependency)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_dbcheck_rejects_a_repeated_attribute(capsys, tmp_path):
+    csv = tmp_path / "r.csv"
+    csv.write_text("A,A\n1,2\n2,1\n")
+    code, out, err = run(capsys, "dbcheck", str(csv),
+                         "incl(A ; A)", "fd(A -> A)")
     assert code == 2 and not out
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 

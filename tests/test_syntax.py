@@ -1,13 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from teamlogic.semantics import is_downward_closed, is_union_closed
 from teamlogic.syntax import (
     And, App, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall,
-    InclAtom, IndepAtom, Name, Or, ParseError, RelAtom, Signature,
-    conjoin, disjoin, exists_block, forall_block, free_names, free_variables,
-    fresh_vars, is_first_order, negate_nnf, parse, parse_term, render,
-    subformula_instances, substitute,
+    InclAtom, IndepAtom, Name, Or, ParseError, RelAtom,
+    conjoin, disjoin, exists_block, forall_block, free_names,
+    fresh_vars, is_first_order, negate_nnf, parse, render,
+    subformula_instances, substitute, symbol_arities,
 )
+from teamlogic.translate import compile as compile_atoms, ie_to_eso
+
+from oracles import ref_atom_kinds, ref_free_names
 
 
 def test_parse_atoms():
@@ -38,7 +42,7 @@ def test_parse_quantifiers():
 
 
 def test_parse_function_terms():
-    assert parse_term("S(S(x))") == App("S", (App("S", (Name("x"),)),))
+    assert parse("S(S(x)) = y").left == App("S", (App("S", (Name("x"),)),))
     phi = parse("S(x) = y")
     assert phi.left == App("S", (Name("x"),))
 
@@ -59,26 +63,18 @@ def test_render_examples():
         assert render(parse(text)) == text
 
 
-def test_signature_check():
-    sig = Signature(functions=(("S", 1),), relations=(("R", 2),))
-    parse("R(x, y) /\\ S(x) = y", sig)
+def test_symbol_arities_reject_two_arities():
+    assert symbol_arities(parse("R(x, y) /\\ S(x) = y")) == \
+        ({"R": 2}, {"S": 1})
     with pytest.raises(ParseError):
-        parse("R(x)", sig)
+        symbol_arities(parse("P(x) /\\ P(x, y)"))
     with pytest.raises(ParseError):
-        parse("S(x, y) = x", sig)
-    # A symbol the signature does not list may take any one arity, but
-    # not two in one formula.
-    parse("P(x) /\\ f(x, y) = y", sig)
-    with pytest.raises(ParseError):
-        parse("P(x) /\\ P(x, y)", sig)
-    with pytest.raises(ParseError):
-        parse("f(x) = f(x, y)", sig)
+        symbol_arities(parse("f(x) = f(x, y)"))
 
 
 def test_free_variables():
     phi = parse("exists x . (incl(y ; x) /\\ incl(z ; x))")
     assert free_names(phi) == {"y", "z"}
-    assert free_variables(phi, constants=("z",)) == {"y"}
 
 
 def test_fresh_vars_sequential_and_avoiding():
@@ -135,29 +131,78 @@ _terms = st.recursive(
 _tuples = st.lists(_terms, min_size=1, max_size=2).map(tuple)
 
 
-def _atoms():
-    return st.one_of(
-        st.tuples(_terms, _terms, st.booleans()).map(lambda p: Equality(*p)),
-        st.tuples(st.sampled_from(["R", "Q"]), _tuples, st.booleans())
-        .map(lambda p: RelAtom(*p)),
-        _tuples.map(DepAtom),
-        st.tuples(_tuples, _tuples).map(
-            lambda p: InclAtom(p[0], p[0] if len(p[0]) != len(p[1]) else p[1])),
-        st.tuples(_tuples, _tuples, _tuples).map(lambda p: IndepAtom(*p)),
-    )
+def _same_width(cls):
+    return st.tuples(_tuples, _tuples).map(
+        lambda p: cls(p[0], p[0] if len(p[0]) != len(p[1]) else p[1]))
 
 
-_formulas = st.recursive(
-    _atoms(),
-    lambda children: st.one_of(
-        st.tuples(children, children).map(lambda p: And(*p)),
-        st.tuples(children, children).map(lambda p: Or(*p)),
-        st.tuples(_names, children).map(lambda p: Exists(*p)),
-        st.tuples(_names, children).map(lambda p: Forall(*p)),
-    ),
-    max_leaves=6)
+_literals = st.one_of(
+    st.tuples(_terms, _terms, st.booleans()).map(lambda p: Equality(*p)),
+    st.tuples(st.sampled_from(["R", "Q"]), _tuples, st.booleans())
+    .map(lambda p: RelAtom(*p)),
+)
+_atoms = st.one_of(
+    _literals,
+    _tuples.map(DepAtom),
+    _same_width(InclAtom),
+    _same_width(ExclAtom),
+    _same_width(EquiAtom),
+    st.tuples(_tuples, _tuples, _tuples).map(lambda p: IndepAtom(*p)),
+)
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.tuples(children, children).map(lambda p: And(*p)),
+            st.tuples(children, children).map(lambda p: Or(*p)),
+            st.tuples(_names, children).map(lambda p: Exists(*p)),
+            st.tuples(_names, children).map(lambda p: Forall(*p)),
+        ),
+        max_leaves=6)
+
+
+_formulas = _trees(_atoms)
 
 
 @given(_formulas)
 def test_parse_render_round_trip(phi):
     assert parse(render(phi)) == phi
+
+
+# --- construction-time facts -----------------------------------------------
+
+_FO = {RelAtom, Equality}
+
+
+def _assert_facts(phi):
+    for _path, sub in subformula_instances(phi):
+        kinds = ref_atom_kinds(sub)
+        assert sub.free == free_names(sub) == ref_free_names(sub)
+        assert sub.kinds == kinds
+        assert is_first_order(sub) == (kinds <= _FO)
+        assert is_union_closed(sub) == (kinds <= _FO | {InclAtom, EquiAtom})
+        assert is_downward_closed(sub) == (kinds <= _FO | {DepAtom, ExclAtom})
+
+
+_SHADOWED = parse("R(x) /\\ exists x . x = y")
+
+
+@settings(deadline=None)
+@given(_formulas, _trees(_literals),
+       _trees(st.one_of(_literals, _same_width(InclAtom), _same_width(ExclAtom))))
+@example(_SHADOWED, _SHADOWED, _SHADOWED)
+def test_node_facts_match_the_recursive_definitions(phi, fo, ie):
+    built = [
+        phi, fo, ie, parse(render(phi)), negate_nnf(fo),
+        substitute(phi, {"x": Name("_w"), "c0": App("f", (Name("_w"),))}),
+        compile_atoms(phi, {"incl", "excl"}),
+        ie_to_eso(ie, sorted(ie.free)).matrix,
+    ]
+    for out in built:
+        _assert_facts(out)
+    for a, b in ((phi, parse(render(phi))),
+                 (phi, substitute(phi, {"x": Name("x")})),
+                 (fo, negate_nnf(negate_nnf(fo)))):
+        assert a == b and hash(a) == hash(b)

@@ -9,7 +9,7 @@ from teamlogic.semantics import (
 )
 from teamlogic.syntax import (
     DepAtom, ExclAtom, InclAtom, IndepAtom, Name, conjoin, flatten_and,
-    free_variables, parse, parse_term, render, subformula_instances,
+    free_names, parse, render, subformula_instances,
 )
 from teamlogic import translate
 from teamlogic.translate import (
@@ -27,7 +27,7 @@ M2 = Model(DOM)
 
 
 def t(name):
-    return parse_term(name)
+    return Name(name)
 
 
 def assert_equivalent(phi, psi, variables, max_rows=3, model=M2,
@@ -123,7 +123,7 @@ def test_translations_use_fresh_reserved_names_only():
             (inc_to_equi((t("x"),), (t("y"),)), {"x", "y"}),
             (inc_to_indep((t("x"),), (t("y"),)), {"x", "y"}),
             (indep_to_ie((t("x"),), (t("y"),), (t("z"),)), {"x", "y", "z"})):
-        assert free_variables(out) == free
+        assert free_names(out) == free
 
 
 # --- atom translations: verdict equality -----------------------------------
@@ -263,6 +263,16 @@ def graph_model(nodes, edges, a, b):
 def test_tc_sentence_rejects_mismatched_widths(avars, bvars, xvars, yvars):
     with pytest.raises(TranslateError):
         tc_sentence(parse("E(x, y)"), avars, bvars, xvars, yvars)
+
+
+@pytest.mark.parametrize("xvars, yvars", [
+    (("x",), ("x",)), (("x", "x"), ("y", "w")), (("x", "w"), ("y", "y")),
+    (("x", "w"), ("w", "y")),
+])
+def test_tc_sentence_rejects_repeated_variables(xvars, yvars):
+    with pytest.raises(TranslateError):
+        tc_sentence(parse("E(x, w) \\/ E(y, w)"), ("a",) * len(xvars),
+                    ("b",) * len(xvars), xvars, yvars)
 
 
 def test_tc_sentence_matches_reachability():

@@ -46,6 +46,8 @@ class Model:
             if value not in dom:
                 raise ModelError("constant %s maps outside the domain" % name)
         for name, table in self.functions.items():
+            if not table:
+                raise ModelError("function %s has an empty table" % name)
             arities = {len(args) for args in table}
             if len(arities) != 1:
                 raise ModelError("function %s has mixed arities" % name)
@@ -112,10 +114,16 @@ class Model:
         for key in ("constants", "functions", "relations"):
             if not isinstance(data.get(key, {}), dict):
                 raise ModelError('model JSON "%s" must be an object' % key)
+        for name, value in data.get("constants", {}).items():
+            if not isinstance(value, str):
+                raise ModelError("constant %s is not a string" % name)
         functions = {}
         for name, table in data.get("functions", {}).items():
             if not isinstance(table, dict):
                 raise ModelError("function %s is not an object" % name)
+            if not _strings(list(table.values())):
+                raise ModelError("function %s has a value that is not a string"
+                                 % name)
             functions[name] = {tuple(key.split(",")) if key else (): value
                                for key, value in table.items()}
         relations = data.get("relations", {})

@@ -9,11 +9,14 @@ disequalities.
 The ESO bridge maps formulas over {FO, incl, excl} to existential
 second-order sentences with one free relation symbol holding the team,
 and Skolem-style second-order normal forms back into the team language.
+Its relation quantifiers may be bounded, exists W within B: each subteam
+ranges over the subsets of its parent team, so the matrix names every
+team by one atom.
 """
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Assignment
 from .syntax import (
@@ -359,56 +362,44 @@ def odd_cardinality_sentence():
 
 @dataclass(frozen=True)
 class SOSymbol:
+    r"""A second-order symbol of an ESO prefix.
+
+    A relation may carry a bound (variables, FO formula).  It then ranges
+    over the subsets of the bound's extension, read under the symbols
+    quantified before it: exists W within B is the plain ESO
+    exists W (forall variables . (~W(variables) \/ B) /\ ...).  Relations
+    without a bound range over all tuples, functions over all tables.
+    """
+
     kind: str  # "relation" | "function"
     name: str
     arity: int
+    bound: tuple = None  # (variable tuple, FO formula) or None
 
 
 @dataclass
 class ESOFormula:
-    """An ESO sentence with one free relation symbol holding the team."""
+    """An ESO sentence with one free relation symbol holding the team.
+
+    The prefix quantifies relations, each bounded or not, and functions.
+    """
 
     free_relation: str
     free_arity: int
     prefix: list  # of SOSymbol, quantified left to right
     matrix: object  # FO formula over the extended signature
-    # Optional per-symbol search guards: name -> (var tuple, FO formula).
-    # Tuples outside a relation's guard extension provably never affect
-    # the matrix, so enumeration may be restricted to guard tuples.
-    guards: dict = field(default_factory=dict)
-
-
-class _EsoBuilder:
-    def __init__(self, vs, avoid):
-        self.prefix = []
-        self.guards = {}
-        self.constraints = []
-        self.rel_counter = 0
-        self.used = set(avoid) | set(vs)
-
-    def fresh_rel(self, arity, guard):
-        self.rel_counter += 1
-        name = "W%d" % self.rel_counter
-        self.prefix.append(SOSymbol("relation", name, arity))
-        self.guards[name] = guard
-        return name
-
-    def fresh_vars(self, count):
-        out = fresh_vars(count, self.used)
-        self.used.update(out)
-        return out
-
-    def require(self, constraint):
-        self.constraints.append(constraint)
 
 
 def ie_to_eso(phi, vs):
     """Build Phi(A) with: M sat_X phi (lax)  iff  Phi holds with A := X(vs).
 
-    The construction threads a membership formula mu(v...) describing the
-    current team through the syntax tree: disjunctions quantify two
+    Each team met on the way down the syntax tree is named by one
+    membership formula mu: A(vs) for the input team, and W(...) for a
+    relation W bounded by its parent team.  Disjunctions quantify two
     covering subrelations, existentials a witness relation pairing each
     row with its chosen values, universals rebind the column directly.
+    Only a quantifier over a team variable wraps mu, in exists old . ...
+    Every atom adds one constraint that reads ~mu(v).
     """
     vs = tuple(vs)
     if len(set(vs)) != len(vs):
@@ -417,103 +408,100 @@ def ie_to_eso(phi, vs):
     if missing:
         raise TranslateError("free variables outside the team tuple: %s"
                              % ", ".join(sorted(missing)))
-    builder = _EsoBuilder(vs, _all_names(phi))
+    prefix = []
+    constraints = []
+    used = _all_names(phi) | set(vs)
+
+    def fresh(count):
+        out = fresh_vars(count, used)
+        used.update(out)
+        return out
 
     def rel_args(variables):
         return tuple(Name(v) for v in variables)
 
+    def subteam(variables, mu):
+        """W(variables) for a fresh relation W within the team mu."""
+        name = "W%d" % (len(prefix) + 1)
+        prefix.append(SOSymbol("relation", name, len(variables),
+                               (variables, mu)))
+        return RelAtom(name, rel_args(variables))
+
     def go(sub, mu, variables):
         if isinstance(sub, LITERALS):
-            builder.require(forall_block(
+            constraints.append(forall_block(
                 variables, Or(negate_nnf(mu), sub)))
             return
-        if isinstance(sub, InclAtom):
-            if not sub.left:
+        if isinstance(sub, (InclAtom, ExclAtom)):
+            if isinstance(sub, InclAtom) and not sub.left:
                 return
-            primed = builder.fresh_vars(len(variables))
+            # A second row of the same team, over primed variables.
+            primed = fresh(len(variables))
             ren = {v: Name(p) for v, p in zip(variables, primed)}
             mu2 = substitute(mu, ren)
             t2p = tuple(substitute_term(t, ren) for t in sub.right)
-            match = conjoin([Equality(a, b) for a, b in zip(t2p, sub.left)])
-            builder.require(forall_block(
-                variables,
-                Or(negate_nnf(mu), exists_block(primed, And(mu2, match)))))
-            return
-        if isinstance(sub, ExclAtom):
-            primed = builder.fresh_vars(len(variables))
-            ren = {v: Name(p) for v, p in zip(variables, primed)}
-            mu2 = substitute(mu, ren)
-            t2p = tuple(substitute_term(t, ren) for t in sub.right)
+            if isinstance(sub, InclAtom):
+                match = conjoin([Equality(a, b) for a, b in zip(t2p, sub.left)])
+                constraints.append(forall_block(
+                    variables,
+                    Or(negate_nnf(mu), exists_block(primed, And(mu2, match)))))
+                return
             parts = [negate_nnf(mu), negate_nnf(mu2)]
             # No two rows differ on zero terms: excl( ; ) needs the empty team.
             if sub.left:
                 parts.append(tuple_unequal(sub.left, t2p))
-            builder.require(forall_block(list(variables) + primed,
-                                         disjoin(parts)))
+            constraints.append(forall_block(list(variables) + primed,
+                                            disjoin(parts)))
             return
         if isinstance(sub, And):
             go(sub.left, mu, variables)
             go(sub.right, mu, variables)
             return
         if isinstance(sub, Or):
-            parts = []
-            for branch in (sub.left, sub.right):
-                name = builder.fresh_rel(len(variables), (variables, mu))
-                parts.append((branch, RelAtom(name, rel_args(variables))))
-            builder.require(forall_block(
-                variables,
-                disjoin([negate_nnf(mu)] + [atom for _b, atom in parts])))
-            for branch, atom in parts:
-                go(branch, And(mu, atom), variables)
+            left, right = subteam(variables, mu), subteam(variables, mu)
+            constraints.append(forall_block(
+                variables, disjoin([negate_nnf(mu), left, right])))
+            go(sub.left, left, variables)
+            go(sub.right, right, variables)
             return
         if isinstance(sub, Exists):
             x = sub.var
             if x not in variables:
                 wvars = variables + (x,)
-                name = builder.fresh_rel(len(wvars), (wvars, mu))
-                builder.require(forall_block(
-                    variables,
-                    Or(negate_nnf(mu),
-                       Exists(x, RelAtom(name, rel_args(wvars))))))
-                go(sub.body, And(mu, RelAtom(name, rel_args(wvars))),
-                   wvars)
+                witness = subteam(wvars, mu)
+                constraints.append(forall_block(
+                    variables, Or(negate_nnf(mu), Exists(x, witness))))
+                go(sub.body, witness, wvars)
                 return
             # Overwrite: the witness relation pairs each old row (with
             # its old x value) with the new x values chosen for it.
-            old, xn = builder.fresh_vars(2)
-            name = builder.fresh_rel(len(variables) + 1,
-                                     (variables + (xn,), mu))
-            builder.require(forall_block(
-                variables,
-                Or(negate_nnf(mu),
-                   Exists(xn, RelAtom(name, rel_args(variables) + (Name(xn),))))))
+            old, xn = fresh(2)
+            witness = subteam(variables + (xn,), mu)
+            constraints.append(forall_block(
+                variables, Or(negate_nnf(mu), Exists(xn, witness))))
             # Membership after the overwrite: some old value of x connects
             # the surviving coordinates to the new one through the witness.
             args_old = tuple(Name(old) if v == x else Name(v) for v in variables)
-            mu_old = substitute(mu, {x: Name(old)})
-            mu2 = Exists(old, And(mu_old, RelAtom(name, args_old + (Name(x),))))
-            go(sub.body, mu2, variables)
+            moved = RelAtom(witness.name, args_old + (Name(x),))
+            go(sub.body, Exists(old, moved), variables)
             return
         if isinstance(sub, Forall):
             x = sub.var
             if x not in variables:
                 go(sub.body, mu, variables + (x,))
                 return
-            old = builder.fresh_vars(1)[0]
-            mu2 = Exists(old, substitute(mu, {x: Name(old)}))
-            go(sub.body, mu2, variables)
+            old = fresh(1)[0]
+            go(sub.body, Exists(old, substitute(mu, {x: Name(old)})), variables)
             return
         raise TranslateError("cannot translate %s to ESO" % render(sub))
 
-    mu0 = RelAtom("A", tuple(Name(v) for v in vs))
-    go(phi, mu0, vs)
-    if builder.constraints:
-        matrix = conjoin(builder.constraints)
+    go(phi, RelAtom("A", rel_args(vs)), vs)
+    if constraints:
+        matrix = conjoin(constraints)
     else:
-        v = builder.fresh_vars(1)[0]
+        v = fresh(1)[0]
         matrix = Forall(v, Equality(Name(v), Name(v)))
-    return ESOFormula("A", len(vs), builder.prefix, matrix,
-                      builder.guards)
+    return ESOFormula("A", len(vs), prefix, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +511,18 @@ def ie_to_eso(phi, vs):
 def eval_eso(model, eso, a, budget=None):
     """Exhaustively search prefix interpretations making the matrix true.
 
-    Relations with a declared guard are enumerated over guard-satisfying
-    tuples only; tuples outside the guard never influence the matrix by
-    construction of ie_to_eso.  Matrix conjuncts are checked as soon as
-    all their symbols are interpreted.
+    A bounded relation is enumerated over the tuples of its bound only.
+    The search keeps one private interpretation and overwrites symbol k
+    in place.  Each matrix conjunct is checked right after its
+    last-quantified symbol, so the checks and the bound at depth k read
+    only symbols up to k, and nothing needs undoing on the way back.
     """
     tick = (budget or Budget()).tick
-    base = model.with_relation(eso.free_relation, a)
-    conjuncts = flatten_and(eso.matrix)
-    names = [sym.name for sym in eso.prefix]
-    name_pos = {name: i for i, name in enumerate(names)}
-    # Check each conjunct right after its last-quantified symbol.
-    checkpoint = {i: [] for i in range(len(names))}
+    interp = model.with_relation(eso.free_relation, a)
+    name_pos = {sym.name: i for i, sym in enumerate(eso.prefix)}
+    checkpoint = [[] for _sym in eso.prefix]
     upfront = []
-    for c in conjuncts:
+    for c in flatten_and(eso.matrix):
         relations, functions = symbol_arities(c)
         used = (relations.keys() | functions.keys()) & name_pos.keys()
         if used:
@@ -544,49 +530,49 @@ def eval_eso(model, eso, a, budget=None):
         else:
             upfront.append(c)
     empty = Assignment({})
-    if any(not tarski(base, empty, c) for c in upfront):
+    if any(not tarski(interp, empty, c) for c in upfront):
         return False
 
-    def assign(k, current):
+    def values(sym):
+        """The table sym lives in, and its candidate values in search order."""
+        tuples = list(itertools.product(model.domain, repeat=sym.arity))
+        if sym.kind == "function":
+            return interp.functions, (
+                dict(zip(tuples, row))
+                for row in itertools.product(model.domain, repeat=len(tuples)))
+        if sym.bound is not None:
+            bvars, formula = sym.bound
+            tuples = [t for t in tuples
+                      if tarski(interp, Assignment(dict(zip(bvars, t))), formula)]
+        return interp.relations, (
+            frozenset(rows) for size in range(len(tuples) + 1)
+            for rows in itertools.combinations(tuples, size))
+
+    def assign(k):
         if k == len(eso.prefix):
             return True
         sym = eso.prefix[k]
-        checks = checkpoint[k]
-        if sym.kind == "relation":
-            guard = eso.guards.get(sym.name)
-            if guard is not None:
-                gvars, gformula = guard
-                candidates = [t for t in itertools.product(model.domain,
-                                                           repeat=sym.arity)
-                              if tarski(current, Assignment(dict(zip(gvars, t))),
-                                        gformula)]
-            else:
-                candidates = list(itertools.product(model.domain,
-                                                    repeat=sym.arity))
-            for size in range(len(candidates) + 1):
-                for rows in itertools.combinations(candidates, size):
-                    tick()
-                    nxt = current.with_relation(sym.name, rows)
-                    if all(tarski(nxt, empty, c) for c in checks) \
-                            and assign(k + 1, nxt):
-                        return True
-            return False
-        keys = list(itertools.product(model.domain, repeat=sym.arity))
-        for values in itertools.product(model.domain, repeat=len(keys)):
+        table, candidates = values(sym)
+        for value in candidates:
             tick()
-            nxt = current.with_function(sym.name, dict(zip(keys, values)))
-            if all(tarski(nxt, empty, c) for c in checks) and assign(k + 1, nxt):
+            table[sym.name] = value
+            if all(tarski(interp, empty, c) for c in checkpoint[k]) \
+                    and assign(k + 1):
                 return True
         return False
 
-    return assign(0, base)
+    return assign(0)
 
 
 def format_eso(eso):
     """Line-oriented text for an ESO sentence, stable across runs."""
     lines = ["free relation %s/%d" % (eso.free_relation, eso.free_arity)]
     for sym in eso.prefix:
-        lines.append("exists %s %s/%d" % (sym.kind, sym.name, sym.arity))
+        line = "exists %s %s/%d" % (sym.kind, sym.name, sym.arity)
+        if sym.bound is not None:
+            bvars, formula = sym.bound
+            line += " within %s . %s" % (" ".join(bvars), render(formula))
+        lines.append(line)
     lines.append("matrix: %s" % render(eso.matrix))
     return "\n".join(lines)
 
@@ -711,7 +697,7 @@ def skolemnf_to_eso(nf):
                                      positive=False)))
     matrix = forall_block(list(nf.xvars) + list(nf.yvars), And(bicond, nf.psi))
     prefix = [SOSymbol("function", name, len(ws)) for name, ws in nf.functions]
-    return ESOFormula("A", nf.a_arity, prefix, matrix, {})
+    return ESOFormula("A", nf.a_arity, prefix, matrix)
 
 
 def parse_skolemnf(text):

@@ -1,8 +1,9 @@
-"""The benchmark's traced run ends its stdout with a well-formed result.
+"""The benchmark's runs end their stdout with a well-formed result.
 
 A harness reads only the last stdout line of perfbench/run.py, so a stray
 print or a traced name that no longer resolves (its metrics are then left
-out) turns a working run into an unreadable one.
+out) turns a working run into an unreadable one.  The untraced run is the
+one whose end-to-end metrics are timed, so it is checked as well.
 """
 
 import json
@@ -14,16 +15,21 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
-@pytest.mark.parametrize("workload",
-                         [w["name"] for w in BENCHMARK["workloads"]])
-def test_traced_run_ends_with_a_result(workload):
+def _run(workload, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--trace", "1"],
+         "--seed", "1", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_ends_with_a_result(workload):
+    proc = _run(workload, "1")
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     assert {"correct", "attempted", "failed", "metrics"} <= result.keys()
@@ -32,3 +38,13 @@ def test_traced_run_ends_with_a_result(workload):
                if m["name"] not in result["metrics"]]
     assert missing == []
     assert json.loads(lines[-2])["missing_layers"] == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_untraced_run_reports_every_end_to_end_metric(workload):
+    proc = _run(workload, "0")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    missing = [m["name"] for m in BENCHMARK["end_to_end"]
+               if m["name"] not in result["metrics"]]
+    assert missing == []

@@ -113,6 +113,21 @@ def test_check_malformed_model_is_a_usage_error(capsys, tmp_path, data):
     assert code == 2 and not out and err.startswith("error:")
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"constants": {"c": ["0"]}}, "constant c is not a string"),
+    ({"functions": {"f": {"0": ["1"], "1": "0"}}},
+     "function f has a value that is not a string"),
+    ({"functions": {"f": {}}}, "function f has an empty table"),
+], ids=["constant-list", "function-value-list", "empty-function"])
+def test_check_model_values_must_be_strings(capsys, tmp_path, data, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"domain": ["0", "1"], **data}))
+    code, out, err = run(capsys, "check", "--model", str(path),
+                         "forall x . x = x")
+    assert code == 2 and not out
+    assert err == "error: %s\n" % message
+
+
 def test_check_json_report(capsys, split_fixture):
     model, team, formula = split_fixture("prop-4.2-lax-vs-strict.json")
     code, out, _ = run(capsys, "check", "--json", "--model", model,
@@ -301,6 +316,18 @@ def test_translate_ie2eso_dump(capsys):
     assert code == 0
     assert out.splitlines()[0] == "free relation A/2"
     assert any(line.startswith("matrix:") for line in out.splitlines())
+
+
+def test_translate_ie2eso_prints_each_bound(capsys):
+    code, out, _ = run(capsys, "translate", "--rule", "ie2eso",
+                       "--team-vars", "x,y", "x = y \\/ exists x . incl(x ; y)")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:4] == ["free relation A/2",
+                         "exists relation W1/2 within x y . A(x, y)",
+                         "exists relation W2/2 within x y . A(x, y)",
+                         "exists relation W3/3 within x y _v1 . W2(x, y)"]
+    assert len(lines) == 5 and lines[4].startswith("matrix: ")
 
 
 # --- equiv -----------------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +12,11 @@ from teamlogic import translate
 from teamlogic.model import Model, Team
 from teamlogic.semantics import Budget, BudgetExceeded, Mode, satisfies
 from teamlogic.syntax import (
-    And, Equality, Exists, ExclAtom, Forall, InclAtom, Name, Or, parse,
+    And, Equality, Exists, ExclAtom, Forall, InclAtom, Name, Or, RelAtom,
+    conjoin, forall_block, parse,
 )
+
+from oracles import ref_sat
 
 DOM = ("0", "1")
 M2 = Model(DOM)
@@ -212,3 +218,34 @@ def test_team_game_and_eso_semantics_agree(phi, instance):
         relation = {row.values_for(("x", "y")) for row in x.rows}
         eso = translate.ie_to_eso(phi, ("x", "y"))
         assert translate.eval_eso(m, eso, relation) == lax
+
+
+def _bounds_in_the_matrix(eso):
+    """The same sentence with each bound dropped from its quantifier and
+    written as a conjunct forall bvars . (~W(bvars) \\/ bound) instead."""
+    conjuncts = [eso.matrix]
+    for sym in eso.prefix:
+        bvars, formula = sym.bound
+        outside = RelAtom(sym.name, tuple(map(Name, bvars)), positive=False)
+        conjuncts.append(forall_block(bvars, Or(outside, formula)))
+    return translate.ESOFormula(
+        eso.free_relation, eso.free_arity,
+        [dataclasses.replace(sym, bound=None) for sym in eso.prefix],
+        conjoin(conjuncts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_quantifier,
+       st.lists(st.tuples(st.sampled_from(DOM), st.sampled_from(DOM)),
+                max_size=2))
+def test_eso_bridge_agrees_with_the_reference(phi, rows):
+    # A bounded relation quantifier is plain ESO: the same search over
+    # every relation, with the bound as a matrix conjunct, finds the same.
+    eso = translate.ie_to_eso(phi, ("x", "y"))
+    held = translate.eval_eso(M2, eso, set(rows))
+    assert held == ref_sat(M2, team(rows), phi)
+    interpretations = math.prod(2 ** len(DOM) ** sym.arity
+                                for sym in eso.prefix)
+    if interpretations <= 4096:
+        assert translate.eval_eso(M2, _bounds_in_the_matrix(eso),
+                                  set(rows)) == held

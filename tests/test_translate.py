@@ -2,14 +2,16 @@ import itertools
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from teamlogic.model import Model, Team, all_teams
 from teamlogic.semantics import (
     Budget, BudgetExceeded, Mode, satisfies, satisfies_sentence,
 )
 from teamlogic.syntax import (
-    DepAtom, ExclAtom, InclAtom, IndepAtom, Name, conjoin, flatten_and,
-    free_names, parse, render, subformula_instances,
+    And, DepAtom, Equality, ExclAtom, Exists, Forall, InclAtom, IndepAtom,
+    Name, Or, RelAtom, conjoin, flatten_and, free_names, parse, render,
+    subformula_instances,
 )
 from teamlogic import translate
 from teamlogic.translate import (
@@ -378,6 +380,67 @@ def test_ie_to_eso_matches_lax_satisfaction():
             want = satisfies(M2, team, phi, Mode.LAX).is_sat
             got = eval_eso(M2, eso, _team_relation(team, vs))
             assert got == want, (text, team)
+
+
+_vars = st.sampled_from(("x", "y", "z"))
+_var_pairs = st.tuples(_vars.map(Name), _vars.map(Name))
+_nested = st.recursive(
+    st.one_of(
+        st.tuples(_var_pairs, st.booleans()).map(
+            lambda p: Equality(*p[0], p[1])),
+        _var_pairs.map(lambda p: InclAtom((p[0],), (p[1],))),
+        _var_pairs.map(lambda p: ExclAtom((p[0],), (p[1],))),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from((And, Or)), children, children).map(
+            lambda p: p[0](p[1], p[2])),
+        st.tuples(st.sampled_from((Exists, Forall)), _vars, children).map(
+            lambda p: p[0](p[1], p[2])),
+    ),
+    max_leaves=8)
+_WIDE = compile_atoms(parse(
+    "forall c0 x . (indep(y, f(z, z) ; y ; g(y, x), f(y, z)) \\/ "
+    "indep(g(g(y, z)), f(c0) ; g(c0, z), f(x) ; g(y, y), f(y, y)))"),
+    {"incl", "excl"})
+
+
+@settings(deadline=None)
+@given(_nested)
+@example(_WIDE)
+@example(parse("exists z . (incl(x ; z) \\/ (forall x . (x = z \\/ excl(y ; x)) "
+               "\\/ exists y . (incl(y ; x) \\/ excl(z ; y))))"))
+def test_ie_to_eso_names_each_team_by_one_atom(phi):
+    # A membership formula copied into every constraint would grow by a
+    # conjunct at each disjunction and existential on the way down.
+    eso = ie_to_eso(phi, sorted(phi.free))
+    teams = {eso.free_relation} | {sym.name for sym in eso.prefix}
+    for c in flatten_and(eso.matrix):
+        atoms = [a for _path, a in subformula_instances(c)
+                 if isinstance(a, RelAtom) and a.name in teams]
+        assert len(atoms) <= 3, render(c)
+
+
+def test_eval_eso_leaves_the_model_alone(monkeypatch):
+    m = Model(DOM, functions={"S": {("0",): "1", ("1",): "0"}},
+              relations={"R": [("0",)]})
+    relations = dict(m.relations)
+    functions = {name: dict(table) for name, table in m.functions.items()}
+    prefix = [SOSymbol("relation", "B", 1), SOSymbol("function", "f", 1)]
+    copies = []
+    build = Model.__init__
+
+    def counted(self, *args, **kwargs):
+        copies.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "__init__", counted)
+    for text, held in (("forall x . ((A(x) \\/ B(x)) /\\ f(x) = S(x))", True),
+                       ("forall x . (B(x) /\\ ~R(x) /\\ f(x) = x)", False)):
+        copies.clear()
+        assert eval_eso(m, ESOFormula("A", 1, prefix, parse(text)),
+                        {("0",)}) == held
+        assert len(copies) == 1
+        assert m.relations == relations and m.functions == functions
 
 
 def test_ie_to_eso_rejects_untranslated_atoms_and_stray_vars():

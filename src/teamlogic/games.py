@@ -55,8 +55,10 @@ def _reach(start, step):
 class Arena:
     """Immutable game graph built from a model, team and formula.
 
-    order sorts the positions by path, then assignment, once; rank maps
-    each position to its index there, the solver's visiting order.
+    order sorts the positions once: exclusion positions first, then by
+    path, then assignment; rank maps each position to its index there,
+    the solver's visiting order.  Exclusion positions come first so that
+    the solver checks one as soon as a choice reaches it.
     """
 
     def __init__(self, model, team, formula):
@@ -74,9 +76,12 @@ class Arena:
         self.turn = {}
         self.positions = frozenset(
             _reach((((), row) for row in team.rows), self._expand))
-        self.order = tuple(sorted(self.positions, key=_position_key))
+        self.order = tuple(sorted(
+            self.positions,
+            key=lambda p: (not isinstance(self.subformula[p[0]], ExclAtom),
+                           _position_key(p))))
         self.rank = {p: i for i, p in enumerate(self.order)}
-        self.initial = self.order[:len(team.rows)]
+        self.initial = tuple(p for p in self.order if not p[0])
 
     def _expand(self, position):
         if len(self.successors) >= DEFAULT_POSITION_CAP:
@@ -157,13 +162,17 @@ def is_uniform(arena, tau):
 def _trim(arena):
     """Remove positions that can belong to no uniform winning reachable set.
 
-    Alternates monotone deletions (losing terminals, stuck II positions,
+    Starts without the exclusion positions whose own row breaks their
+    atom (the atom must hold on each row of its team alone), then
+    alternates monotone deletions (losing terminals, stuck II positions,
     I positions with a deleted successor, inclusion positions with no
     witness left) with restriction to the part reachable from the
     initial positions.  Every valid reachable set survives each step, so
     the result over-approximates all of them.
     """
-    alive = set(arena.positions)
+    alive = {p for p in arena.positions
+             if not isinstance(arena.subformula[p[0]], ExclAtom)
+             or _uniformity_ok(arena, [p])}
     changed = True
     while changed:
         changed = False

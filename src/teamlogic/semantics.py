@@ -315,6 +315,10 @@ class Evaluator:
             return all(self.sat(c, team) for c in conjuncts)
         if isinstance(phi, Or):
             return self._sat_or(phi, team)
+        if self.mode is Mode.LAX and isinstance(phi, (Exists, Forall)) \
+                and phi.var not in phi.body.free:
+            # Lax semantics is local: the body never reads the new column.
+            return self.sat(phi.body, team)
         if isinstance(phi, Exists):
             return self._sat_exists(phi, team)
         if isinstance(phi, Forall):

@@ -216,6 +216,21 @@ def test_lax_locality_under_dummy_column(phi, x):
         satisfies(M2, wide, phi, Mode.LAX).is_sat
 
 
+@pytest.mark.parametrize("text, status", [
+    ("exists w w . indep( ; y ; y)", "unsat"),
+    ("exists w . forall x . exists y . indep( ; x ; x)", "unsat"),
+    ("exists w . (dep(x) \\/ dep(y))", "sat"),
+])
+def test_lax_quantifier_over_an_unread_variable(text, status):
+    # The first two were drawn by the locality test above: choosing lax
+    # values for a column that the body never reads spent more than
+    # 10,000,000 nodes on this 6-row team, and the verdict was
+    # budget_exceeded on both sides of that test.
+    x = team([("0", "0"), ("0", "1"), ("1", "1")]).extend_universal("u", DOM)
+    verdict = satisfies(M2, x, parse(text), Mode.LAX, budget=Budget(100))
+    assert verdict.status == status
+
+
 # Witness searches whose atom pruners cut picks: a lax value set that
 # breaks dep on its own rows, an overwriting exists x that maps two rows
 # of a bucket to one, and a lax value set whose earlier values can clash

@@ -8,21 +8,24 @@ the workloads from perfbench/ of the current directory, so the same
 script replays any checkout.  For each workload, seed and round it runs
 perfbench/workloads.execute on every query and prints one line:
 
-    workload seed round kind outcome nodes [strategy]
+    workload seed round kind outcome nodes [digest]
 
 nodes is what the query's semantics.Budget counted, for the team
 search, eval_eso and the game solver alike (0 for the dependency
-queries, which take no budget).  A game query that finds a strategy
-adds the first 12 hex digits of the SHA-1 of its format_strategy text,
-and "-" when there is none.  The script reads both by wrapping
-semantics.Budget and games.find_uniform_winning for the length of the
-replay, as perfbench/tracing.py wraps the program's functions.
+queries, which take no budget).  Game, derive and implies queries add a
+digest of what the search found, or "-" when it found nothing: the
+first 12 hex digits of the SHA-1 of the game's format_strategy text, of
+the derivation's Derivation.lines(), or of the refuting relation's
+attributes and sorted tuples.  The script reads these by wrapping
+semantics.Budget, games.find_uniform_winning, dbdeps.derive and
+dbdeps.semantic_implies for the length of the replay, as
+perfbench/tracing.py wraps the program's functions.
 
-Two checkouts give the same verdicts and strategies with no more search
-nodes when their outputs differ in no outcome or strategy and in no node
-count upwards, which one diff shows.  Set PYTHONHASHSEED to make the
-node counts repeat exactly: set iteration order decides how soon some
-searches stop.
+Two checkouts give the same verdicts, strategies, derivations and
+counterexamples with no more search nodes when their outputs differ in
+no outcome or digest and in no node count upwards, which one diff
+shows.  Set PYTHONHASHSEED to make the node counts repeat exactly: set
+iteration order decides how soon some searches stop.
 """
 
 import argparse
@@ -44,9 +47,9 @@ def main():
     args = parser.parse_args()
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("perfbench", "src", "tests")]
     import workloads
-    from teamlogic import games, semantics
+    from teamlogic import dbdeps, games, semantics
 
-    budgets, strategies = [], []
+    budgets, found = [], []
 
     class Budget(semantics.Budget):
         def __post_init__(self):
@@ -54,15 +57,31 @@ def main():
             budgets.append(self)
 
     solve = games.find_uniform_winning
+    derive = dbdeps.derive
+    implies = dbdeps.semantic_implies
 
     def find_uniform_winning(arena, *args, **kwargs):
         tau = solve(arena, *args, **kwargs)
-        text = None if tau is None else games.format_strategy(arena, tau)
-        strategies.append(text)
+        found.append(None if tau is None
+                     else games.format_strategy(arena, tau))
         return tau
+
+    def derive_noted(*args, **kwargs):
+        derivation = derive(*args, **kwargs)
+        found.append(None if derivation is None
+                     else "\n".join(derivation.lines()))
+        return derivation
+
+    def implies_noted(*args, **kwargs):
+        holds, relation = implies(*args, **kwargs)
+        found.append(None if relation is None
+                     else repr((relation.attributes, sorted(relation.tuples))))
+        return holds, relation
 
     semantics.Budget = Budget
     games.find_uniform_winning = find_uniform_winning
+    dbdeps.derive = derive_noted
+    dbdeps.semantic_implies = implies_noted
     fixtures = os.path.join(ROOT, "fixtures")
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
@@ -70,13 +89,13 @@ def main():
             for index in range(args.rounds):
                 for q in stream.round(index):
                     budgets.clear()
-                    strategies.clear()
+                    found.clear()
                     outcome, nodes = workloads.execute(q)
                     fields = [workload, seed, index, q.kind,
                               "".join(repr(outcome).split()),
                               budgets[-1].nodes if budgets else nodes]
-                    if q.op == "game" and strategies:
-                        text = strategies[-1]
+                    if q.op in ("game", "derive", "implies") and found:
+                        text = found[-1]
                         fields.append("-" if text is None else hashlib.sha1(
                             text.encode()).hexdigest()[:12])
                     print(*fields)

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import dbdeps, games, translate
-from .model import Model, Team, ModelError, all_teams
+from .model import Model, Team, ModelError, all_teams, subsets, tables
 from .semantics import Budget, BudgetExceeded, Mode, satisfies, satisfies_sentence
 from .syntax import (
     And, DepAtom, EquiAtom, ExclAtom, InclAtom, IndepAtom,
@@ -53,6 +53,8 @@ def _load_model(args):
         return Model.load(args.model, allow_unit_domain=args.allow_unit_domain)
     if args.domain:
         labels = [d.strip() for d in args.domain.split(",")]
+        if "" in labels:
+            raise UsageError("--domain %r has an empty label" % args.domain)
         return Model(labels, allow_unit_domain=args.allow_unit_domain)
     raise UsageError("either --model or --domain is required")
 
@@ -237,22 +239,14 @@ def _all_interpretations(domain, relations, functions):
     """Every way to interpret the listed symbols over the domain."""
     rel_items = sorted(relations.items())
     fun_items = sorted(functions.items())
-    rel_spaces = []
-    for _name, arity in rel_items:
-        rows = list(itertools.product(domain, repeat=arity))
-        rel_spaces.append([frozenset(s)
-                           for size in range(len(rows) + 1)
-                           for s in itertools.combinations(rows, size)])
-    fun_spaces = []
-    for _name, arity in fun_items:
-        keys = list(itertools.product(domain, repeat=arity))
-        fun_spaces.append([dict(zip(keys, values))
-                           for values in itertools.product(domain,
-                                                           repeat=len(keys))])
-    for rel_choice in itertools.product(*rel_spaces) if rel_spaces else [()]:
-        for fun_choice in itertools.product(*fun_spaces) if fun_spaces else [()]:
-            yield (dict(zip((n for n, _a in rel_items), rel_choice)),
-                   dict(zip((n for n, _a in fun_items), fun_choice)))
+    rel_spaces = [[frozenset(rows) for rows in
+                   subsets(itertools.product(domain, repeat=arity))]
+                  for _name, arity in rel_items]
+    fun_spaces = [list(tables(itertools.product(domain, repeat=arity), domain))
+                  for _name, arity in fun_items]
+    for choice in itertools.product(*rel_spaces, *fun_spaces):
+        yield (dict(zip((n for n, _a in rel_items), choice)),
+               dict(zip((n for n, _a in fun_items), choice[len(rel_items):])))
 
 
 def cmd_equiv(args):

@@ -11,6 +11,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from .model import subsets, tables
 from .syntax import ParseError
 
 
@@ -254,8 +255,7 @@ def find_violation(relation, dep, universe=None):
                                          len(relation.attributes)))
         domain = list(universe) if universe else relation.active_domain()
         body_vars = _body_vars(dep.body)
-        for values in itertools.product(domain, repeat=len(body_vars)):
-            valuation = dict(zip(body_vars, values))
+        for valuation in tables(body_vars, domain):
             if not all(_atom_holds(relation, a, valuation) for a in dep.body):
                 continue
             if isinstance(dep, Egd):
@@ -263,10 +263,9 @@ def find_violation(relation, dep, universe=None):
                     return (tuple(valuation[v] for v in body_vars),)
                 continue
             extra = [v for v in dep.head_vars if v not in valuation]
-            if not any(all(_atom_holds(relation, a,
-                                       {**valuation, **dict(zip(extra, wit))})
+            if not any(all(_atom_holds(relation, a, {**valuation, **wit})
                            for a in dep.head)
-                       for wit in itertools.product(domain, repeat=len(extra))):
+                       for wit in tables(extra, domain)):
                 return (tuple(valuation[v] for v in body_vars),)
         return None
     raise DependencyError("unknown dependency kind: %r" % (dep,))
@@ -302,14 +301,16 @@ class Derivation:
         return "\n".join(self.lines())
 
 
-def _projections(n, max_width):
-    for m in range(1, max_width + 1):
-        yield from itertools.product(range(1, n + 1), repeat=m)
-
-
 def _tuples_over(attributes, max_width):
     for m in range(1, max_width + 1):
         yield from itertools.product(attributes, repeat=m)
+
+
+def _pairs_over(attributes, max_width):
+    """Pairs of same-width tuples, narrowest first, in product order."""
+    for m in range(1, max_width + 1):
+        yield from itertools.product(itertools.product(attributes, repeat=m),
+                                     repeat=2)
 
 
 def derive(premises, goal, system="inc-exc", depth=6):
@@ -352,7 +353,7 @@ def derive(premises, goal, system="inc-exc", depth=6):
         for dep, derivation in snapshot:
             if isinstance(dep, Ind):
                 n = len(dep.xs)
-                for pi in _projections(n, max_width):
+                for pi in _tuples_over(range(1, n + 1), max_width):
                     new = Ind(tuple(dep.xs[i - 1] for i in pi),
                               tuple(dep.ys[i - 1] for i in pi))
                     note(new, Derivation("I2", new, (derivation,), (pi,)), fresh)
@@ -368,30 +369,20 @@ def derive(premises, goal, system="inc-exc", depth=6):
                      Derivation("E1", Exd(dep.ys, dep.xs), (derivation,)), fresh)
                 # E2 widens a projected exclusion back to any preimage.
                 n = len(dep.xs)
-                for xs in _tuples_over(attributes, max_width):
-                    for ys in _tuples_over(attributes, len(xs)):
-                        if len(ys) != len(xs):
-                            continue
-                        for pi in _projections(len(xs), max_width):
-                            if len(pi) != n:
-                                continue
-                            if tuple(xs[i - 1] for i in pi) == dep.xs and \
-                                    tuple(ys[i - 1] for i in pi) == dep.ys:
-                                new = Exd(xs, ys)
-                                note(new, Derivation("E2", new, (derivation,),
-                                                     (pi,)), fresh)
+                for xs, ys in _pairs_over(attributes, max_width):
+                    for pi in itertools.product(range(1, len(xs) + 1), repeat=n):
+                        if tuple(xs[i - 1] for i in pi) == dep.xs and \
+                                tuple(ys[i - 1] for i in pi) == dep.ys:
+                            new = Exd(xs, ys)
+                            note(new, Derivation("E2", new, (derivation,),
+                                                 (pi,)), fresh)
                 if dep.xs == dep.ys:
                     # Inconsistent relation must be empty: everything follows.
-                    for ys in _tuples_over(attributes, max_width):
-                        for zs in _tuples_over(attributes, len(ys)):
-                            if len(zs) != len(ys):
-                                continue
-                            note(Exd(ys, zs),
-                                 Derivation("E3", Exd(ys, zs), (derivation,)),
-                                 fresh)
-                            note(Ind(ys, zs),
-                                 Derivation("IE1", Ind(ys, zs), (derivation,)),
-                                 fresh)
+                    for ys, zs in _pairs_over(attributes, max_width):
+                        note(Exd(ys, zs),
+                             Derivation("E3", Exd(ys, zs), (derivation,)), fresh)
+                        note(Ind(ys, zs),
+                             Derivation("IE1", Ind(ys, zs), (derivation,)), fresh)
                 for zin, zin_d in snapshot:
                     if not isinstance(zin, Ind) or zin.ys != dep.xs:
                         continue
@@ -482,12 +473,10 @@ def semantic_implies(premises, goal, universe_size=3, max_tuples=3):
     attributes = sorted({a for dep in premises + [goal]
                          for side in (dep.xs, dep.ys) for a in side})
     universe = [str(i) for i in range(universe_size)]
-    width = len(attributes)
-    all_rows = list(itertools.product(universe, repeat=width))
-    for count in range(max_tuples + 1):
-        for rows in itertools.combinations(all_rows, count):
-            relation = DBRelation(attributes, rows)
-            if all(check_dependency(relation, dep) for dep in premises) \
-                    and not check_dependency(relation, goal):
-                return False, relation
+    all_rows = itertools.product(universe, repeat=len(attributes))
+    for rows in subsets(all_rows, 0, max_tuples):
+        relation = DBRelation(attributes, rows)
+        if all(check_dependency(relation, dep) for dep in premises) \
+                and not check_dependency(relation, goal):
+            return False, relation
     return True, None

@@ -14,9 +14,8 @@ against the semantics module.
 """
 
 import heapq
-import itertools
 
-from .model import Team, eval_term
+from .model import Team, eval_term, subsets
 from .syntax import (
     And, Or, Exists, Forall, InclAtom, ExclAtom,
     LITERALS, render, subformula_instances,
@@ -265,13 +264,8 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
                 continue
             else:
                 succ = [p for p in arena.successors[position] if p in alive]
-                if deterministic:
-                    option_sets = [(p,) for p in succ]
-                else:
-                    option_sets = [combo
-                                   for size in range(1, len(succ) + 1)
-                                   for combo in itertools.combinations(succ, size)]
-                stack.append((position, iter(option_sets), frontier, reached))
+                option_sets = subsets(succ, 1, 1 if deterministic else None)
+                stack.append((position, option_sets, frontier, reached))
         elif _uniformity_ok(arena, (order[r] for r in reached)):
             return Strategy(choices)
         # Take the next option of the newest open choice, dropping the

@@ -307,12 +307,30 @@ class Team:
             return cls.from_json_dict(json.load(handle))
 
 
+def subsets(items, smallest=0, largest=None):
+    """Every subset of items with smallest to largest members, as tuples:
+    smaller ones first, itertools.combinations order within a size.
+
+    Every candidate set the engines try comes from here, so node counts
+    and the first witness found follow this order.  A lax choice takes
+    subsets(options, 1), a strict one subsets(options, 1, 1).
+    """
+    items = tuple(items)
+    top = len(items) if largest is None else min(largest, len(items))
+    for size in range(smallest, top + 1):
+        yield from itertools.combinations(items, size)
+
+
+def tables(keys, values):
+    """Every map from keys to values, in itertools.product order."""
+    keys = tuple(keys)
+    for row in itertools.product(values, repeat=len(keys)):
+        yield dict(zip(keys, row))
+
+
 def all_teams(variables, domain, max_rows=None):
     """Every team over the given variables, by increasing row count."""
     variables = tuple(variables)
-    rows = [Assignment(dict(zip(variables, values)))
-            for values in itertools.product(domain, repeat=len(variables))]
-    top = len(rows) if max_rows is None else min(max_rows, len(rows))
-    for size in range(top + 1):
-        for chosen in itertools.combinations(rows, size):
-            yield Team(variables, chosen)
+    rows = [Assignment(row) for row in tables(variables, domain)]
+    for chosen in subsets(rows, 0, max_rows):
+        yield Team(variables, chosen)

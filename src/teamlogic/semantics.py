@@ -46,7 +46,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from .model import Team, eval_term
+from .model import Team, eval_term, subsets
 from .syntax import (
     And, Or, Exists, Forall, Name,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
@@ -529,11 +529,10 @@ class Evaluator:
         """Can a special side's team include `assigned` and satisfy it?"""
         optional = sorted(elig - assigned,
                           key=lambda r: r.values_for(team.variables))
-        for size in range(len(optional) + 1):
-            for extra in itertools.combinations(optional, size):
-                self.tick()
-                if self.sat(rest, team.with_rows(assigned | set(extra))):
-                    return True
+        for extra in subsets(optional):
+            self.tick()
+            if self.sat(rest, team.with_rows(assigned | set(extra))):
+                return True
         return False
 
     def _sat_or_strict(self, sides, eligible, team, rows):
@@ -794,11 +793,7 @@ class Evaluator:
                     if all(tarski(model, ext, c) for c in prune.flat)]
             if not cand:
                 return False
-            if self.mode is Mode.STRICT:
-                picks = [(ext,) for ext in cand]
-            else:
-                picks = [c for size in range(1, len(cand) + 1)
-                         for c in itertools.combinations(cand, size)]
+            picks = subsets(cand, 1, 1 if self.mode is Mode.STRICT else None)
             slots.append([tuple((0, ext) for ext in exts) for exts in picks])
         slots.sort(key=len)
         # The leaf checks the whole body even when the pruner covers it:

@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .model import Assignment
+from .model import Assignment, subsets, tables
 from .syntax import (
     And, Or, Exists, Forall, Name, App,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
@@ -537,16 +537,12 @@ def eval_eso(model, eso, a, budget=None):
         """The table sym lives in, and its candidate values in search order."""
         tuples = list(itertools.product(model.domain, repeat=sym.arity))
         if sym.kind == "function":
-            return interp.functions, (
-                dict(zip(tuples, row))
-                for row in itertools.product(model.domain, repeat=len(tuples)))
+            return interp.functions, tables(tuples, model.domain)
         if sym.bound is not None:
             bvars, formula = sym.bound
             tuples = [t for t in tuples
                       if tarski(interp, Assignment(dict(zip(bvars, t))), formula)]
-        return interp.relations, (
-            frozenset(rows) for size in range(len(tuples) + 1)
-            for rows in itertools.combinations(tuples, size))
+        return interp.relations, (frozenset(rows) for rows in subsets(tuples))
 
     def assign(k):
         if k == len(eso.prefix):

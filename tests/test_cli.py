@@ -67,6 +67,16 @@ def test_check_deep_nesting_is_a_usage_error(capsys):
         assert code == 2 and not out and err.startswith("error:")
 
 
+@pytest.mark.parametrize("domain", ["0,1,", "0, ,1", ",0,1"],
+                         ids=["trailing-comma", "blank-label", "leading-comma"])
+def test_check_empty_domain_label_is_a_usage_error(capsys, domain):
+    # With "" as a third element the sentence would come out sat.
+    code, out, err = run(capsys, "check", "--domain", domain,
+                         "exists x y z . (x != y /\\ y != z /\\ x != z)")
+    assert code == 2 and not out
+    assert err.splitlines() == ["error: --domain %r has an empty label" % domain]
+
+
 def test_check_team_without_rows_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "team.json"
     path.write_text(json.dumps({"vars": ["x"]}))

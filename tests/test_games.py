@@ -13,9 +13,10 @@ from teamlogic.model import Model, Team
 from teamlogic.semantics import Budget, BudgetExceeded, Mode, satisfies
 from teamlogic.syntax import (
     And, Equality, Exists, ExclAtom, Forall, InclAtom, Name, Or, RelAtom,
-    conjoin, forall_block, parse,
+    conjoin, forall_block, parse, render,
 )
 
+from budgets import within
 from oracles import ref_sat
 
 DOM = ("0", "1")
@@ -174,13 +175,25 @@ _teams = st.lists(st.tuples(st.sampled_from(DOM), st.sampled_from(DOM)),
                   max_size=3).map(team)
 
 
+# The generated-input searches below run under these budgets.  Over 80
+# hypothesis seeds the worst team or game search spent 985 nodes, and
+# the worst eval_eso call 5,792 over domain 2 (the bridge test) and
+# 208,850 over domain 3 (the three-way test).
+NODES = 20_000
+ESO_NODES_D2 = 100_000
+ESO_NODES_D3 = 2_000_000
+
+
 @settings(max_examples=200, deadline=None)
 @given(_ie_formulas, _teams, st.booleans())
 def test_game_agrees_with_team_semantics(phi, x, deterministic):
+    what = "%s on %r" % (render(phi), x)
     arena = build_arena(M2, x, phi)
-    tau = find_uniform_winning(arena, deterministic=deterministic)
+    tau = within(NODES, what, find_uniform_winning, arena,
+                 deterministic=deterministic)
     mode = Mode.STRICT if deterministic else Mode.LAX
-    assert (tau is not None) == satisfies(M2, x, phi, mode).is_sat
+    assert (tau is not None) == within(NODES, what, satisfies, M2, x, phi,
+                                       mode).is_sat
     if tau is not None:
         assert is_uniform(arena, tau)
         if deterministic:
@@ -224,16 +237,20 @@ def test_team_game_and_eso_semantics_agree(phi, instance):
     # Lax satisfaction is a uniform strategy and an ESO model; strict
     # satisfaction is a deterministic uniform strategy.
     m, x = instance
-    lax = satisfies(m, x, phi, Mode.LAX).is_sat
+    what = "%s on %r over %s" % (render(phi), x, ",".join(m.domain))
+    lax = within(NODES, what, satisfies, m, x, phi, Mode.LAX).is_sat
     arena = build_arena(m, x, phi)
     for deterministic, mode in ((False, Mode.LAX), (True, Mode.STRICT)):
-        tau = find_uniform_winning(arena, deterministic=deterministic)
-        assert (tau is not None) == satisfies(m, x, phi, mode).is_sat
+        tau = within(NODES, what, find_uniform_winning, arena,
+                     deterministic=deterministic)
+        assert (tau is not None) == within(NODES, what, satisfies, m, x, phi,
+                                           mode).is_sat
         assert tau is None or is_uniform(arena, tau)
     if len(x) <= 2:
         relation = {row.values_for(("x", "y")) for row in x.rows}
         eso = translate.ie_to_eso(phi, ("x", "y"))
-        assert translate.eval_eso(m, eso, relation) == lax
+        assert within(ESO_NODES_D3, what, translate.eval_eso, m, eso,
+                      relation) == lax
 
 
 def _bounds_in_the_matrix(eso):
@@ -257,11 +274,12 @@ def _bounds_in_the_matrix(eso):
 def test_eso_bridge_agrees_with_the_reference(phi, rows):
     # A bounded relation quantifier is plain ESO: the same search over
     # every relation, with the bound as a matrix conjunct, finds the same.
+    what = "%s on %r" % (render(phi), team(rows))
     eso = translate.ie_to_eso(phi, ("x", "y"))
-    held = translate.eval_eso(M2, eso, set(rows))
+    held = within(ESO_NODES_D2, what, translate.eval_eso, M2, eso, set(rows))
     assert held == ref_sat(M2, team(rows), phi)
     interpretations = math.prod(2 ** len(DOM) ** sym.arity
                                 for sym in eso.prefix)
     if interpretations <= 4096:
-        assert translate.eval_eso(M2, _bounds_in_the_matrix(eso),
-                                  set(rows)) == held
+        assert within(ESO_NODES_D2, what, translate.eval_eso, M2,
+                      _bounds_in_the_matrix(eso), set(rows)) == held

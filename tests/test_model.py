@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from teamlogic.model import (
-    Assignment, Model, ModelError, Team, all_teams, eval_term,
+    Assignment, Model, ModelError, Team, all_teams, eval_term, subsets, tables,
 )
 from teamlogic.syntax import App, Name
 
@@ -87,6 +87,43 @@ def test_all_teams_counts():
     teams = list(all_teams(("x", "y"), ("0", "1"), max_rows=2))
     # C(4,0) + C(4,1) + C(4,2)
     assert len(teams) == 1 + 4 + 6
+    rows = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    assert teams == [Team.from_tuples(("x", "y"), chosen)
+                     for chosen in subsets(rows, 0, 2)]
+
+
+# Node counts, strategies, and the first witness, derivation and
+# counterexample each engine finds all follow these two orders.
+
+
+def test_subsets_come_smallest_first_in_combinations_order():
+    assert list(subsets("abc")) == [
+        (), ("a",), ("b",), ("c",),
+        ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")]
+    assert list(subsets(iter("abcd"), 2, 2)) == [
+        ("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+
+
+def test_subsets_bounds():
+    assert list(subsets("abc", 1, 1)) == [("a",), ("b",), ("c",)]
+    assert list(subsets("abc", 2)) == [
+        ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")]
+    assert list(subsets("abc", 0, 1)) == [(), ("a",), ("b",), ("c",)]
+    assert list(subsets("ab", 1, 5)) == [("a",), ("b",), ("a", "b")]
+    assert list(subsets("ab", 3)) == []
+    assert list(subsets("ab", 2, 1)) == []
+    assert list(subsets([])) == [()]
+    assert list(subsets([], 1)) == []
+
+
+def test_tables_come_in_product_order():
+    assert list(tables(["p", "q"], "01")) == [
+        {"p": "0", "q": "0"}, {"p": "0", "q": "1"},
+        {"p": "1", "q": "0"}, {"p": "1", "q": "1"}]
+    assert [list(t.items()) for t in tables(iter("qp"), "01")][:2] == [
+        [("q", "0"), ("p", "0")], [("q", "0"), ("p", "1")]]
+    assert list(tables([], "01")) == [{}]
+    assert list(tables(["p"], "")) == []
 
 
 @given(st.lists(st.tuples(st.sampled_from("01"), st.sampled_from("01")),

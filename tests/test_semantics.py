@@ -13,9 +13,10 @@ from teamlogic.semantics import (
 )
 from teamlogic.syntax import (
     And, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall, InclAtom,
-    IndepAtom, Name, Or, parse,
+    IndepAtom, Name, Or, parse, render,
 )
 
+from budgets import within
 from oracles import ref_sat, ref_tarski
 
 DOM = ("0", "1")
@@ -192,11 +193,21 @@ _teams = st.lists(st.tuples(st.sampled_from(DOM), st.sampled_from(DOM)),
                   max_size=3).map(lambda rows: team(rows))
 
 
+# The generated-input searches below run under this budget.  Over 80
+# hypothesis seeds the worst search spent 367 nodes.
+NODES = 20_000
+
+
+def _sat(x, phi, mode):
+    return within(NODES, "%s on %r, %s" % (render(phi), x, mode.name),
+                  satisfies, M2, x, phi, mode).is_sat
+
+
 @settings(max_examples=250, deadline=None)
 @given(_formulas, _teams, st.booleans())
 def test_evaluator_matches_reference(phi, x, strict):
     mode = Mode.STRICT if strict else Mode.LAX
-    got = satisfies(M2, x, phi, mode).is_sat
+    got = _sat(x, phi, mode)
     want = ref_sat(M2, x, phi, strict=strict)
     assert got == want
 
@@ -204,16 +215,15 @@ def test_evaluator_matches_reference(phi, x, strict):
 @settings(max_examples=100, deadline=None)
 @given(_formulas, _teams)
 def test_strict_sat_implies_lax_sat(phi, x):
-    if satisfies(M2, x, phi, Mode.STRICT).is_sat:
-        assert satisfies(M2, x, phi, Mode.LAX).is_sat
+    if _sat(x, phi, Mode.STRICT):
+        assert _sat(x, phi, Mode.LAX)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_formulas, _teams)
 def test_lax_locality_under_dummy_column(phi, x):
     wide = x.extend_universal("u", DOM)
-    assert satisfies(M2, x, phi, Mode.LAX).is_sat == \
-        satisfies(M2, wide, phi, Mode.LAX).is_sat
+    assert _sat(x, phi, Mode.LAX) == _sat(wide, phi, Mode.LAX)
 
 
 @pytest.mark.parametrize("text, status", [
@@ -455,7 +465,9 @@ def test_pinned_search_matches_reference(pinned, x):
     body = phi
     for _var in block:
         body = body.body
-    got = Evaluator(M2, Mode.LAX)._sat_exists_pinned(list(block), body, x)
+    got = within(NODES, "%s on %r" % (render(phi), x),
+                 lambda budget: Evaluator(M2, Mode.LAX, budget)
+                 ._sat_exists_pinned(list(block), body, x))
     assert got is not None
     assert got == ref_sat(M2, x, phi)
 

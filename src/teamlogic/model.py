@@ -71,11 +71,6 @@ class Model:
         except KeyError:
             raise ModelError("no value for %s(%s)" % (name, ", ".join(args)))
 
-    def relation_rows(self, name):
-        if name not in self.relations:
-            raise ModelError("unknown relation %s" % name)
-        return self.relations[name]
-
     def with_relation(self, name, rows):
         """A copy of the model with one relation added or replaced."""
         relations = dict(self.relations)
@@ -201,7 +196,8 @@ class Assignment:
 
 
 def eval_term(model, assignment, term):
-    """The value of a term under an assignment.
+    """The value of a term under an assignment, or under a plain dict from
+    variables to elements (only assignment.get is read).
 
     A bare identifier is looked up in the assignment first and in the
     model's constants second, so variables shadow constants of the same

@@ -14,7 +14,9 @@ for each class of a pinned block.  The two modes differ only in the
 options they offer and in how a complete pick is judged.  On top of the
 core the evaluator layers several exact shortcuts:
 
-* first order subformulas are flat and get checked row by row;
+* first order subformulas are flat and get checked row by row, each
+  compiled once per node into a closure over a plain dict of variable
+  values (see compiled);
 * formulas over {FO, incl, equi} are closed under unions in lax mode, so
   the greatest satisfying subteam exists and is computable by a greatest
   fixpoint (largest_subteam); lax satisfaction is then a single
@@ -44,9 +46,10 @@ reference evaluator.
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 
-from .model import Team, eval_term, subsets
+from .model import ModelError, Team, eval_term, subsets
 from .syntax import (
     And, Or, Exists, Forall, Name,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
@@ -103,25 +106,137 @@ class BudgetExceeded(Exception):
 
 
 def tarski(model, assignment, phi):
-    """Ordinary single-assignment satisfaction for first order formulas."""
+    """Ordinary single-assignment satisfaction for first order formulas,
+    by the formula's compiled closure."""
+    return compiled(phi)(model, dict(assignment.items()))
+
+
+def compiled(phi):
+    """The formula compiled to a closure holds(model, env) -> bool, made on
+    first use and cached in the node's __dict__ next to `free` and `kinds`.
+
+    env is a plain dict from variables to elements.  A quantifier sets
+    and restores env[var] in place, so a closure returns env as it found
+    it.  Atoms and terms read the model's relations, constants and
+    functions at call time, so a table overwritten in place is seen by a
+    closure compiled before.  Compiling raises nothing: each error is
+    raised by the call that meets it, as a recursive evaluation would.
+    """
+    facts = phi.__dict__
+    holds = facts.get("holds")
+    if holds is None:
+        holds = facts["holds"] = _compile(phi)
+    return holds
+
+
+def _compile(phi):
     if isinstance(phi, RelAtom):
-        values = tuple(eval_term(model, assignment, t) for t in phi.args)
-        return (values in model.relation_rows(phi.name)) == phi.positive
+        return _compile_relation(phi)
     if isinstance(phi, Equality):
-        left = eval_term(model, assignment, phi.left)
-        right = eval_term(model, assignment, phi.right)
-        return (left == right) == phi.positive
-    if isinstance(phi, And):
-        return tarski(model, assignment, phi.left) and tarski(model, assignment, phi.right)
-    if isinstance(phi, Or):
-        return tarski(model, assignment, phi.left) or tarski(model, assignment, phi.right)
+        return _compile_equality(phi)
+    if isinstance(phi, (And, Or)):
+        left, right = compiled(phi.left), compiled(phi.right)
+        if isinstance(phi, And):
+            return lambda model, env: left(model, env) and right(model, env)
+        return lambda model, env: left(model, env) or right(model, env)
     if isinstance(phi, Exists):
-        return any(tarski(model, assignment.extended(phi.var, m), phi.body)
-                   for m in model.domain)
+        var, body = phi.var, compiled(phi.body)
+
+        def holds(model, env):
+            saved = env.get(var)
+            found = False
+            for value in model.domain:
+                env[var] = value
+                if body(model, env):
+                    found = True
+                    break
+            _restore(env, var, saved)
+            return found
+
+        return holds
     if isinstance(phi, Forall):
-        return all(tarski(model, assignment.extended(phi.var, m), phi.body)
-                   for m in model.domain)
-    raise ValueError("not a first order formula: %r" % (phi,))
+        var, body = phi.var, compiled(phi.body)
+
+        def holds(model, env):
+            saved = env.get(var)
+            found = True
+            for value in model.domain:
+                env[var] = value
+                if not body(model, env):
+                    found = False
+                    break
+            _restore(env, var, saved)
+            return found
+
+        return holds
+
+    def holds(model, env):
+        raise ValueError("not a first order formula: %r" % (phi,))
+
+    return holds
+
+
+def _restore(env, var, saved):
+    if saved is None:
+        del env[var]
+    else:
+        env[var] = saved
+
+
+def _compile_relation(phi):
+    name, positive, read = phi.name, phi.positive, _reader(phi.args)
+
+    def holds(model, env):
+        row = read(model, env)
+        rows = model.relations.get(name)
+        if rows is None:
+            raise ModelError("unknown relation %s" % name)
+        return (row in rows) == positive
+
+    return holds
+
+
+def _reader(terms):
+    """A closure read(model, env) -> the tuple of the terms' values.
+
+    Plain names are read straight from env; a constant or an unbound
+    name misses there and takes eval_term, as other terms do.
+    """
+
+    def read(model, env):
+        return tuple([eval_term(model, env, t) for t in terms])
+
+    if not terms or not all(isinstance(t, Name) for t in terms):
+        return read
+    if len(terms) == 1:
+        ident = terms[0].ident
+        get = lambda env: (env[ident],)
+    else:
+        get = operator.itemgetter(*(t.ident for t in terms))
+
+    def read_names(model, env):
+        try:
+            return get(env)
+        except KeyError:
+            return read(model, env)
+
+    return read_names
+
+
+def _compile_equality(phi):
+    left, right, positive = phi.left, phi.right, phi.positive
+    if not (isinstance(left, Name) and isinstance(right, Name)):
+        return lambda model, env: (eval_term(model, env, left)
+                                   == eval_term(model, env, right)) == positive
+    a, b = left.ident, right.ident
+
+    def holds(model, env):
+        x, y = env.get(a), env.get(b)
+        if x is None or y is None:  # a constant, or an unbound name
+            x, y = eval_term(model, env, left), eval_term(model, env, right)
+        return (x == y) == positive
+
+    return holds
 
 
 # ---------------------------------------------------------------------------

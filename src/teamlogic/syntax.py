@@ -22,7 +22,9 @@ Whether a bare identifier in term position denotes a variable or a
 constant is resolved against the structure at evaluation time, not at
 parse time.  "\\/" binds looser than "/\\"; both associate to the left.
 Formulas are kept in negation normal form: "~" is only accepted on
-relation atoms, and "!=" is the negation of "=".
+relation atoms, and "!=" is the negation of "=".  A formula nested
+deeper than MAX_NESTING levels, counting bound variables and open
+parentheses, is a ParseError.
 """
 
 from dataclasses import dataclass
@@ -80,8 +82,9 @@ def substitute_term(term, mapping):
 # Every formula node carries two facts, set once by its constructor from
 # its children: `free`, the frozenset of its free identifiers (variables
 # and constants alike), and `kinds`, the frozenset of the atom classes
-# occurring in it.  Neither is a dataclass field, so equality, hashing
-# and repr see the fields alone.
+# occurring in it.  A first order node gains a third on its first
+# evaluation: `holds`, its closure from semantics.compiled.  None is a
+# dataclass field, so equality, hashing and repr see the fields alone.
 
 
 def _set_facts(node, free, kinds):
@@ -448,6 +451,12 @@ _TOKEN = re.compile(r"\s*(\\/|/\\|!=|=|~|\.|\(|\)|,|;|[A-Za-z0-9_]+)")
 _KEYWORDS = {"exists", "forall"}
 _ATOM_KEYWORDS = {"dep", "indep", "incl", "excl", "equi"}
 
+# The deepest nesting parse accepts, counted as the variables bound by
+# the enclosing quantifier prefixes (exists x y . binds two) plus the
+# parentheses open around a point, so that no later recursion over the
+# formula runs out of interpreter stack.
+MAX_NESTING = 300
+
 
 def tokenize(text):
     tokens = []
@@ -468,6 +477,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -483,6 +493,20 @@ class _Parser:
         got = self.take()
         if got != tok:
             raise ParseError("expected %r, got %r" % (tok, got))
+
+    def nest(self, levels):
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise ParseError("formula nested deeper than %d levels"
+                             % MAX_NESTING)
+
+    def open(self):
+        self.expect("(")
+        self.nest(1)
+
+    def close(self):
+        self.expect(")")
+        self.depth -= 1
 
     def formula(self):
         out = self.conj()
@@ -508,15 +532,17 @@ class _Parser:
             if not names:
                 raise ParseError("quantifier without variables")
             self.expect(".")
+            self.nest(len(names))
             body = self.unit()
+            self.depth -= len(names)
             cls = Exists if tok == "exists" else Forall
             for name in reversed(names):
                 body = cls(name, body)
             return body
         if tok == "(":
-            self.take()
+            self.open()
             out = self.formula()
-            self.expect(")")
+            self.close()
             return out
         return self.atom()
 
@@ -529,16 +555,16 @@ class _Parser:
                 raise ParseError("expected a relation name after '~', got %r" % name)
             if name in _ATOM_KEYWORDS:
                 raise ParseError("%s atoms cannot be negated" % name)
-            self.expect("(")
+            self.open()
             args = self.termlist()
-            self.expect(")")
+            self.close()
             return RelAtom(name, args, positive=False)
         if tok in _ATOM_KEYWORDS:
             self.take()
-            self.expect("(")
+            self.open()
             if tok == "dep":
                 args = self.termlist()
-                self.expect(")")
+                self.close()
                 if not args:
                     raise ParseError("dep needs at least one term")
                 return DepAtom(args)
@@ -546,7 +572,7 @@ class _Parser:
             while self.peek() == ";":
                 self.take()
                 groups.append(self.termlist())
-            self.expect(")")
+            self.close()
             if tok == "indep":
                 if len(groups) != 3:
                     raise ParseError("indep needs three term groups")
@@ -588,9 +614,9 @@ class _Parser:
         if not _is_ident(tok) or tok in _KEYWORDS or tok in _ATOM_KEYWORDS:
             raise ParseError("expected a term, got %r" % tok)
         if self.peek() == "(":
-            self.take()
+            self.open()
             args = self.termlist()
-            self.expect(")")
+            self.close()
             return App(tok, args)
         return Name(tok)
 

@@ -17,8 +17,9 @@ team by one atom.
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .model import Assignment, subsets, tables
+from .model import subsets, tables
 from .syntax import (
     And, Or, Exists, Forall, Name, App,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
@@ -28,7 +29,7 @@ from .syntax import (
     substitute, substitute_term, subformula_instances, symbol_arities,
     fresh_vars,
 )
-from .semantics import Budget, tarski
+from .semantics import Budget, compiled
 
 
 class TranslateError(ValueError):
@@ -389,6 +390,23 @@ class ESOFormula:
     prefix: list  # of SOSymbol, quantified left to right
     matrix: object  # FO formula over the extended signature
 
+    @cached_property
+    def checks(self):
+        """The matrix conjuncts as compiled closures, planned once per
+        sentence: those that read no prefix symbol, and per prefix
+        position those whose last-quantified symbol sits there."""
+        name_pos = {sym.name: i for i, sym in enumerate(self.prefix)}
+        checkpoint = [[] for _sym in self.prefix]
+        upfront = []
+        for c in flatten_and(self.matrix):
+            relations, functions = symbol_arities(c)
+            used = (relations.keys() | functions.keys()) & name_pos.keys()
+            if used:
+                checkpoint[max(name_pos[n] for n in used)].append(compiled(c))
+            else:
+                upfront.append(compiled(c))
+        return upfront, checkpoint
+
 
 def ie_to_eso(phi, vs):
     """Build Phi(A) with: M sat_X phi (lax)  iff  Phi holds with A := X(vs).
@@ -519,18 +537,11 @@ def eval_eso(model, eso, a, budget=None):
     """
     tick = (budget or Budget()).tick
     interp = model.with_relation(eso.free_relation, a)
-    name_pos = {sym.name: i for i, sym in enumerate(eso.prefix)}
-    checkpoint = [[] for _sym in eso.prefix]
-    upfront = []
-    for c in flatten_and(eso.matrix):
-        relations, functions = symbol_arities(c)
-        used = (relations.keys() | functions.keys()) & name_pos.keys()
-        if used:
-            checkpoint[max(name_pos[n] for n in used)].append(c)
-        else:
-            upfront.append(c)
-    empty = Assignment({})
-    if any(not tarski(interp, empty, c) for c in upfront):
+    upfront, checkpoint = eso.checks
+    # Every check is a sentence and restores what it binds, so env is
+    # empty between checks; a bound fills it for one tuple at a time.
+    env = {}
+    if not all(holds(interp, env) for holds in upfront):
         return False
 
     def values(sym):
@@ -540,21 +551,31 @@ def eval_eso(model, eso, a, budget=None):
             return interp.functions, tables(tuples, model.domain)
         if sym.bound is not None:
             bvars, formula = sym.bound
-            tuples = [t for t in tuples
-                      if tarski(interp, Assignment(dict(zip(bvars, t))), formula)]
+            within = compiled(formula)
+            kept = []
+            for t in tuples:
+                env.update(zip(bvars, t))
+                if within(interp, env):
+                    kept.append(t)
+            env.clear()
+            tuples = kept
         return interp.relations, (frozenset(rows) for rows in subsets(tuples))
 
     def assign(k):
         if k == len(eso.prefix):
             return True
         sym = eso.prefix[k]
+        checks = checkpoint[k]
         table, candidates = values(sym)
         for value in candidates:
             tick()
             table[sym.name] = value
-            if all(tarski(interp, empty, c) for c in checkpoint[k]) \
-                    and assign(k + 1):
-                return True
+            for holds in checks:
+                if not holds(interp, env):
+                    break
+            else:
+                if assign(k + 1):
+                    return True
         return False
 
     return assign(0)

@@ -5,6 +5,7 @@ import pytest
 
 from teamlogic import cli
 from teamlogic.cli import main
+from teamlogic.syntax import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -65,6 +66,29 @@ def test_check_deep_nesting_is_a_usage_error(capsys):
                     "exists x . " * 400 + "x = x"):
         code, out, err = run(capsys, "check", "--domain", "0,1", formula)
         assert code == 2 and not out and err.startswith("error:")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+def test_check_nesting_limit_is_a_parse_rule(capsys, depth):
+    for formula in ("exists x . " * depth + "x = x",
+                    "(" * (depth - 1) + "forall x . x = x" + ")" * (depth - 1)):
+        code, out, err = run(capsys, "check", "--domain", "0,1", formula)
+        if depth <= MAX_NESTING:
+            assert code == 0 and out.strip() == "sat (lax)" and not err
+        else:
+            assert code == 2 and not out
+            assert err.splitlines() == [
+                "error: formula nested deeper than %d levels" % MAX_NESTING]
+
+
+def test_check_unbound_identifier_under_a_quantifier_is_a_usage_error(
+        capsys, tmp_path):
+    path = tmp_path / "team.json"
+    path.write_text(json.dumps({"vars": ["x"], "rows": [["0"]]}))
+    code, out, err = run(capsys, "check", "--domain", "0,1", "--team",
+                         str(path), "exists y . y = z")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("domain", ["0,1,", "0, ,1", ",0,1"],

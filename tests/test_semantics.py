@@ -1,19 +1,20 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamlogic.model import Assignment, Model, Team, all_teams
-from teamlogic.translate import indep_to_ie
+from teamlogic.model import Assignment, Model, ModelError, Team, all_teams
+from teamlogic.translate import ESOFormula, SOSymbol, eval_eso, indep_to_ie
 from teamlogic.semantics import (
     Budget, BudgetExceeded, Evaluator, Mode, check_atom, check_dependence,
     check_equiextension, check_exclusion, check_inclusion, check_independence,
     flatten_and, flatten_or, is_downward_closed, is_union_closed, satisfies,
-    Verdict, satisfies_sentence, tarski,
+    Verdict, compiled, satisfies_sentence, tarski,
 )
 from teamlogic.syntax import (
-    And, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall, InclAtom,
-    IndepAtom, Name, Or, parse, render,
+    And, App, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall, InclAtom,
+    IndepAtom, Name, Or, RelAtom, parse, render,
 )
 
 from budgets import within
@@ -480,6 +481,149 @@ def test_tarski_matches_reference_on_fo():
     for value in DOM:
         s = Assignment({"x": value})
         assert tarski(m, s, phi) == ref_tarski(m, s, phi)
+
+
+# --- the compiled first order evaluator -------------------------------------
+
+
+_FO_NAMES = ("x", "y", "z", "c")
+
+
+def _fo_terms():
+    names = st.sampled_from(_FO_NAMES).map(Name)
+    return st.recursive(names, lambda inner: inner.map(lambda t: App("f", (t,))),
+                        max_leaves=3)
+
+
+def _fo_literals():
+    terms = _fo_terms()
+    return st.one_of(
+        st.builds(RelAtom, st.just("R"), st.tuples(terms, terms), st.booleans()),
+        st.builds(Equality, terms, terms, st.booleans()))
+
+
+def _fo_formulas():
+    return st.recursive(_fo_literals(), lambda inner: st.one_of(
+        st.builds(And, inner, inner), st.builds(Or, inner, inner),
+        st.builds(Exists, st.sampled_from(_FO_NAMES), inner),
+        st.builds(Forall, st.sampled_from(_FO_NAMES), inner)), max_leaves=6)
+
+
+@st.composite
+def _fo_models(draw):
+    """A model over 2 or 3 elements with a binary R, a constant c and a
+    unary function f, and a row over x and y."""
+    dom = ("0", "1", "2")[:draw(st.integers(2, 3))]
+    pairs = list(itertools.product(dom, repeat=2))
+    model = Model(dom, constants={"c": draw(st.sampled_from(dom))},
+                  functions={"f": {(a,): draw(st.sampled_from(dom)) for a in dom}},
+                  relations={"R": draw(st.sets(st.sampled_from(pairs)))})
+    row = Assignment({"x": draw(st.sampled_from(dom)),
+                      "y": draw(st.sampled_from(dom))})
+    return model, row
+
+
+def _reference(model, row, phi):
+    """The oracle's Tarski verdict on the row, or ModelError where it
+    meets a name that is neither bound nor a constant."""
+    try:
+        return ref_tarski(model, row, phi)
+    except KeyError:
+        return ModelError
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fo_formulas(), _fo_models())
+def test_compiled_tarski_matches_the_reference(phi, drawn):
+    model, row = drawn
+    want = _reference(model, row, phi)
+    if want is ModelError:
+        with pytest.raises(ModelError):
+            tarski(model, row, phi)
+    else:
+        assert tarski(model, row, phi) == want, render(phi)
+
+
+_FIXED = Model(DOM, constants={"c": "0"},
+               functions={"f": {("0",): "1", ("1",): "1"}},
+               relations={"R": [("1",)]})
+
+
+def test_compiled_quantifier_restores_a_rebound_team_variable():
+    phi = parse("(exists x . R(x)) /\\ x = c")
+    for value in DOM:
+        env = {"x": value}
+        assert compiled(phi)(_FIXED, env) == (value == "0")
+        assert env == {"x": value}
+    env = {}
+    assert compiled(parse("forall y . exists x . R(x)"))(_FIXED, env)
+    assert env == {}
+
+
+def test_compiled_variable_shadows_a_constant_of_the_same_name():
+    for text in ("R(c)", "c = f(c)", "exists x . (x = c /\\ R(x))"):
+        phi = parse(text)
+        assert tarski(_FIXED, Assignment({"c": "1"}), phi)
+        assert not tarski(_FIXED, Assignment({}), phi)
+    assert tarski(_FIXED, Assignment({}), parse("exists c . R(c)"))
+    assert not tarski(_FIXED, Assignment({}), parse("(exists c . R(c)) /\\ R(c)"))
+
+
+def test_compiled_function_terms():
+    # skolemnf_to_eso writes f(x) = g(x) over quantified arguments.
+    m = _FIXED.with_function("g", {("0",): "0", ("1",): "1"})
+    for text in ("f(x) = g(x)", "f(f(x)) != x", "R(f(x))",
+                 "forall y . (f(y) = g(y) \\/ ~R(g(y)))",
+                 "exists y . f(y) = c"):
+        phi = parse(text)
+        for value in DOM:
+            s = Assignment({"x": value})
+            assert tarski(m, s, phi) == ref_tarski(m, s, phi), text
+
+
+def test_compiled_closure_reads_tables_overwritten_later():
+    m = Model(DOM, relations={"R": [("1",)], "B": []})
+    phi = parse("forall x . (R(x) \\/ B(x))")
+    assert not tarski(m, Assignment({}), phi)
+    m.relations["B"] = frozenset({("0",)})
+    assert tarski(m, Assignment({}), phi)
+    # eval_eso overwrites B in its own copy of the model, under the
+    # closures that phi's nodes already hold.
+    eso = ESOFormula("A", 1, [SOSymbol("relation", "B", 1)],
+                     And(phi, parse("forall x . (~B(x) \\/ A(x))")))
+    for rows, held in (({("0",)}, True), (set(), False), ({("0",), ("1",)}, True)):
+        assert eval_eso(m, eso, rows) == held
+
+
+@pytest.mark.parametrize("text, assignment, where", [
+    ("x = y", {"x": "0"}, "unbound identifier 'y'"),
+    ("exists y . y = z", {}, "unbound identifier 'z'"),
+    ("R(x) \\/ Q(x)", {"x": "0"}, "unknown relation Q"),
+    ("forall x . Q(x)", {}, "unknown relation Q"),
+    ("g(x) = x", {"x": "0"}, "no value for g(0)"),
+    ("exists y . f(x, y) = y", {"x": "0"}, "no value for f(0, 0)"),
+], ids=["unbound", "unbound-under-quantifier", "unknown-relation",
+        "unknown-relation-under-quantifier", "unknown-function",
+        "function-arity"])
+def test_compiled_errors_are_raised_by_the_call(text, assignment, where):
+    phi = parse(text)
+    compiled(phi)  # compiling raises nothing
+    with pytest.raises(ModelError, match=re.escape(where)):
+        tarski(_FIXED, Assignment(assignment), phi)
+
+
+def test_compiled_short_circuit_skips_an_erroneous_branch():
+    s = Assignment({"x": "1"})
+    for text, held in (("R(x) \\/ Q(x)", True), ("~R(x) /\\ Q(x)", False),
+                       ("x = x \\/ y = g(z)", True),
+                       ("exists y . (y != x \\/ Q(y))", True)):
+        assert tarski(_FIXED, s, parse(text)) == held
+
+
+def test_compiled_non_first_order_node_raises_when_reached():
+    assert not tarski(M2, Assignment({"x": "0"}), parse("x != x /\\ dep(x)"))
+    with pytest.raises(ValueError):
+        tarski(M2, Assignment({"x": "0"}), parse("x = x /\\ dep(x)"))
 
 
 # --- largest satisfying subteam --------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from teamlogic.semantics import is_downward_closed, is_union_closed
 from teamlogic.syntax import (
     And, App, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall,
-    InclAtom, IndepAtom, Name, Or, ParseError, RelAtom,
+    MAX_NESTING, InclAtom, IndepAtom, Name, Or, ParseError, RelAtom,
     conjoin, disjoin, exists_block, forall_block, free_names,
     fresh_vars, is_first_order, negate_nnf, parse, render,
     subformula_instances, substitute, symbol_arities,
@@ -52,6 +52,27 @@ def test_parse_errors():
                 "exists . x = y", "~dep(x)", "(x = y", "x = y)"):
         with pytest.raises(ParseError):
             parse(bad)
+
+
+def test_parse_nesting_limit_counts_bound_variables_and_parentheses():
+    names = " ".join("x%d" % i for i in range(MAX_NESTING))
+    inside = [
+        "exists x . " * MAX_NESTING + "x = x",
+        "exists %s . x0 = x0" % names,
+        "(" * (MAX_NESTING - 1) + "R(x)" + ")" * (MAX_NESTING - 1),
+        "exists x . " * (MAX_NESTING - 1) + "S(x) = x",
+        "x = " + "S(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+    ]
+    for text in inside:
+        parse(text)
+    # Nesting closes again: siblings do not add up.
+    parse(" /\\ ".join(["(" * MAX_NESTING + "x = x" + ")" * MAX_NESTING] * 3))
+    for text in ("exists x . " * MAX_NESTING + "R(x)",
+                 "exists %s x . x0 = x0" % names,
+                 "(" * MAX_NESTING + "R(x)" + ")" * MAX_NESTING,
+                 "x = " + "S(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)):
+        with pytest.raises(ParseError, match="nested deeper than %d" % MAX_NESTING):
+            parse(text)
 
 
 def test_render_examples():

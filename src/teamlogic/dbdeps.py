@@ -313,13 +313,64 @@ def _pairs_over(attributes, max_width):
                                      repeat=2)
 
 
-def derive(premises, goal, system="inc-exc", depth=6):
-    """Iterative-deepening proof search over the dependency axioms.
+def _fits(columns, firsts):
+    """Whether each column (x, y) can take its own slot among firsts,
+    the xs of the slots still open."""
+    return all(firsts.count(x) >= sum(1 for c in columns if c[0] == x)
+               for x, _ in columns)
 
-    inc-only admits I1-I3 on inclusion dependencies; inc-exc adds E1-E3
-    and the two interaction rules.  Functional and generating
-    dependencies are rejected: their combined implication problem with
-    inclusions is undecidable, so no proof system is attempted.
+
+def _preimages(xs, ys, attributes, max_width):
+    """Every E2 conclusion from excl(xs ; ys): the pairs (wxs, wys) that
+    an index sequence pi projects onto (xs, ys), each with its first pi
+    in product order, in _pairs_over order.
+
+    A pair qualifies when every column (xs[k], ys[k]) is also a column
+    (wxs[p], wys[p]); the first pi takes each k to the first such p.
+    Only the wys that still leave every column a slot are extended.
+    """
+    columns = frozenset(zip(xs, ys))
+
+    def fill(wxs, wys, missing):
+        p = len(wys)
+        if p == len(wxs):
+            slot = {}
+            for q, column in enumerate(zip(wxs, wys), 1):
+                slot.setdefault(column, q)
+            yield wxs, wys, tuple(slot[c] for c in zip(xs, ys))
+            return
+        for y in attributes:
+            left = missing - {(wxs[p], y)}
+            if _fits(left, wxs[p + 1:]):
+                yield from fill(wxs, wys + (y,), left)
+
+    for m in range(len(columns), max_width + 1):
+        for wxs in itertools.product(attributes, repeat=m):
+            if _fits(columns, wxs):
+                yield from fill(wxs, (), columns)
+
+
+def derive(premises, goal, system="inc-exc", depth=6):
+    """Level-wise forward closure over the dependency axioms.
+
+    Level 0 notes the I1 instances; every level then applies each rule
+    to the dependencies noted before it began, and the search stops at
+    the level that notes the goal, after depth levels, or at a level
+    that notes nothing.  inc-only admits I1-I3 on inclusion
+    dependencies; inc-exc adds E1-E3 and the two interaction rules.
+    Functional and generating dependencies are rejected: their combined
+    implication problem with inclusions is undecidable, so no proof
+    system is attempted.
+
+    The closure is semi-naive (Bancilhon & Ramakrishnan 1986): level L
+    fires a rule only on premise combinations that hold at least one
+    dependency first noted at level L-1 (at level 0, every dependency).
+    A rule use whose premises were all known when level L-1 began was
+    tried there, so its conclusion is known already.  Each level walks
+    the known dependencies in the order they were noted, as a closure
+    that fires every rule on everything at every level would, so the
+    first rule use that notes a conclusion, and with it every
+    Derivation, is the same.
     """
     premises = list(premises)
     for dep in list(premises) + [goal]:
@@ -333,73 +384,61 @@ def derive(premises, goal, system="inc-exc", depth=6):
                          for side in (dep.xs, dep.ys) for a in side})
     max_width = max(len(dep.xs) for dep in premises + [goal])
 
+    # (kind, xs, ys) -> Derivation, in the order noted.  Only inclusions
+    # reach an inc-only closure, so the exclusion rules never fire there.
     known = {}
     for dep in premises:
-        known[dep] = Derivation("premise", dep)
+        known[type(dep), dep.xs, dep.ys] = Derivation("premise", dep)
+    target = (type(goal), goal.xs, goal.ys)
 
-    def note(dep, derivation, fresh):
-        if dep not in known:
-            known[dep] = derivation
-            fresh.append(dep)
+    def note(kind, xs, ys, rule, children=(), params=()):
+        if (kind, xs, ys) not in known:
+            known[kind, xs, ys] = Derivation(rule, kind(xs, ys), children,
+                                             params)
 
-    # I1 instances and, when an x|x premise class is derivable, the E3 and
-    # IE1 schemata can conclude anything; both are handled on demand below.
+    by_xs, by_ys = {}, {}   # inclusions known when the level began
+    start = 0               # where the dependencies new to the level begin
     for level in range(depth):
-        fresh = []
         if level == 0:
             for xs in _tuples_over(attributes, max_width):
-                note(Ind(xs, xs), Derivation("I1", Ind(xs, xs)), fresh)
+                note(Ind, xs, xs, "I1")
         snapshot = list(known.items())
-        for dep, derivation in snapshot:
-            if isinstance(dep, Ind):
-                n = len(dep.xs)
-                for pi in _tuples_over(range(1, n + 1), max_width):
-                    new = Ind(tuple(dep.xs[i - 1] for i in pi),
-                              tuple(dep.ys[i - 1] for i in pi))
-                    note(new, Derivation("I2", new, (derivation,), (pi,)), fresh)
-                for other, other_d in snapshot:
-                    if isinstance(other, Ind) and dep.ys == other.xs:
-                        new = Ind(dep.xs, other.ys)
-                        note(new, Derivation("I3", new, (derivation, other_d)),
-                             fresh)
-            if system == "inc-only":
+        new_by_xs, new_by_ys = {}, {}
+        for i, ((kind, xs, ys), d) in enumerate(snapshot[start:], start):
+            if kind is Ind:
+                for index, key in ((by_xs, xs), (new_by_xs, xs),
+                                   (by_ys, ys), (new_by_ys, ys)):
+                    index.setdefault(key, []).append((i, xs, ys, d))
+        for i, ((kind, xs, ys), d) in enumerate(snapshot):
+            new = i >= start
+            if kind is Ind:
+                if new:
+                    for pi in _tuples_over(range(1, len(xs) + 1), max_width):
+                        note(Ind, tuple(xs[k - 1] for k in pi),
+                             tuple(ys[k - 1] for k in pi), "I2", (d,), (pi,))
+                for _, _, zs, other in (by_xs if new else new_by_xs).get(ys, ()):
+                    note(Ind, xs, zs, "I3", (d, other))
                 continue
-            if isinstance(dep, Exd):
-                note(Exd(dep.ys, dep.xs),
-                     Derivation("E1", Exd(dep.ys, dep.xs), (derivation,)), fresh)
+            if new:
+                note(Exd, ys, xs, "E1", (d,))
                 # E2 widens a projected exclusion back to any preimage.
-                n = len(dep.xs)
-                for xs, ys in _pairs_over(attributes, max_width):
-                    for pi in itertools.product(range(1, len(xs) + 1), repeat=n):
-                        if tuple(xs[i - 1] for i in pi) == dep.xs and \
-                                tuple(ys[i - 1] for i in pi) == dep.ys:
-                            new = Exd(xs, ys)
-                            note(new, Derivation("E2", new, (derivation,),
-                                                 (pi,)), fresh)
-                if dep.xs == dep.ys:
+                for wxs, wys, pi in _preimages(xs, ys, attributes, max_width):
+                    note(Exd, wxs, wys, "E2", (d,), (pi,))
+                if xs == ys:
                     # Inconsistent relation must be empty: everything follows.
-                    for ys, zs in _pairs_over(attributes, max_width):
-                        note(Exd(ys, zs),
-                             Derivation("E3", Exd(ys, zs), (derivation,)), fresh)
-                        note(Ind(ys, zs),
-                             Derivation("IE1", Ind(ys, zs), (derivation,)), fresh)
-                for zin, zin_d in snapshot:
-                    if not isinstance(zin, Ind) or zin.ys != dep.xs:
-                        continue
-                    for win, win_d in snapshot:
-                        if not isinstance(win, Ind) or win.ys != dep.ys:
-                            continue
-                        if len(zin.xs) != len(win.xs):
-                            continue
-                        new = Exd(zin.xs, win.xs)
-                        note(new, Derivation("IE2", new,
-                                             (derivation, zin_d, win_d)),
-                             fresh)
-        if goal in known:
-            return known[goal]
-        if not fresh:
+                    for us, vs in _pairs_over(attributes, max_width):
+                        note(Exd, us, vs, "E3", (d,))
+                        note(Ind, us, vs, "IE1", (d,))
+            elif xs not in new_by_ys and ys not in new_by_ys:
+                continue
+            for j, zs, _, zin in by_ys.get(xs, ()):
+                wins = by_ys if new or j >= start else new_by_ys
+                for _, ws, _, win in wins.get(ys, ()):
+                    note(Exd, zs, ws, "IE2", (d, zin, win))
+        start = len(snapshot)
+        if target in known or len(known) == start:
             break
-    return known.get(goal)
+    return known.get(target)
 
 
 def verify_derivation(derivation, premises):
@@ -465,18 +504,61 @@ def verify_derivation(derivation, premises):
 def semantic_implies(premises, goal, universe_size=3, max_tuples=3):
     """No counterexample relation within the bounds implies the goal.
 
-    Enumerates every relation over attribute columns of the mentioned
-    attributes with at most max_tuples tuples over a universe of the
-    given size; a bounded approximation of the unbounded notion.
+    Tries every relation over the mentioned attributes, in sorted order,
+    with at most max_tuples tuples over the universe "0", "1", ... of the
+    given size; a bounded approximation of the unbounded notion.  The
+    relations come from model.subsets over the rows in
+    itertools.product order, and the first one that satisfies every
+    premise and breaks the goal is returned.
+
+    Each row's projections are computed once per call, and a row that
+    breaks an exclusion premise on its own is left out: every relation
+    holding it breaks that premise, and the relations over the other
+    rows keep their order, so the first counterexample is the same.
     """
     premises = list(premises)
+    for dep in premises + [goal]:
+        if not isinstance(dep, (Ind, Exd)):
+            raise DependencyError("semantic implication covers "
+                                  "inclusion/exclusion dependencies only")
+    if universe_size < 0 or max_tuples < 0:
+        raise ValueError("universe_size and max_tuples must not be negative")
     attributes = sorted({a for dep in premises + [goal]
                          for side in (dep.xs, dep.ys) for a in side})
+    column = {a: i for i, a in enumerate(attributes)}
+
+    def sides(dep, row):
+        return (tuple(row[column[a]] for a in dep.xs),
+                tuple(row[column[a]] for a in dep.ys))
+
+    exclusions = [dep for dep in premises if isinstance(dep, Exd)]
     universe = [str(i) for i in range(universe_size)]
-    all_rows = itertools.product(universe, repeat=len(attributes))
-    for rows in subsets(all_rows, 0, max_tuples):
-        relation = DBRelation(attributes, rows)
-        if all(check_dependency(relation, dep) for dep in premises) \
-                and not check_dependency(relation, goal):
-            return False, relation
+    rows = [row for row in itertools.product(universe, repeat=len(attributes))
+            if all(x != y for x, y in (sides(dep, row) for dep in exclusions))]
+
+    def bits(dep):
+        """Whether dep is an inclusion, and each row's xs and ys values
+        as one-bit masks over a numbering of the values."""
+        ids = {}
+        xbits, ybits = [], []
+        for row in rows:
+            x, y = sides(dep, row)
+            xbits.append(1 << ids.setdefault(x, len(ids)))
+            ybits.append(1 << ids.setdefault(y, len(ids)))
+        return isinstance(dep, Ind), xbits, ybits
+
+    def holds(check, chosen):
+        inclusion, xbits, ybits = check
+        xs = ys = 0
+        for r in chosen:
+            xs |= xbits[r]
+            ys |= ybits[r]
+        return not (xs & ~ys if inclusion else xs & ys)
+
+    goal_check = bits(goal)
+    premise_checks = [bits(dep) for dep in premises]
+    for chosen in subsets(range(len(rows)), 0, max_tuples):
+        if not holds(goal_check, chosen) and \
+                all(holds(check, chosen) for check in premise_checks):
+            return False, DBRelation(attributes, [rows[r] for r in chosen])
     return True, None

@@ -178,3 +178,36 @@ def ref_fd_holds(rows, xi, yi):
         if seen.setdefault(key, row[yi]) != row[yi]:
             return False
     return True
+
+
+def ref_implies(premises, goal, universe_size, max_tuples):
+    """The first counterexample to a bounded implication of inclusion and
+    exclusion dependencies, or None when there is none.
+
+    Each dependency is a triple ("incl" or "excl", xs, ys) of attribute
+    names.  The relations range over the sorted attributes, with at most
+    max_tuples rows over the values "0", "1", ...: by size, and within a
+    size in itertools.combinations order over the itertools.product
+    rows.  The counterexample satisfies every premise and breaks the
+    goal, checked on the value sets of each side.
+    """
+    attributes = sorted({a for _, xs, ys in premises + [goal]
+                         for a in xs + ys})
+    universe = [str(i) for i in range(universe_size)]
+    rows = list(itertools.product(universe, repeat=len(attributes)))
+
+    def values(relation, side):
+        return {tuple(row[attributes.index(a)] for a in side)
+                for row in relation}
+
+    def holds(dep, relation):
+        kind, xs, ys = dep
+        left, right = values(relation, xs), values(relation, ys)
+        return left <= right if kind == "incl" else not left & right
+
+    for size in range(max_tuples + 1):
+        for relation in itertools.combinations(rows, size):
+            if all(holds(dep, relation) for dep in premises) \
+                    and not holds(goal, relation):
+                return relation
+    return None

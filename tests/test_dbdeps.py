@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,8 @@ from teamlogic.dbdeps import (
 )
 from teamlogic.syntax import ParseError
 
-from oracles import ref_fd_holds
+from oracles import ref_fd_holds, ref_implies
+from ref_derive import ref_derive
 
 
 def rel(attributes, rows):
@@ -210,6 +214,27 @@ def test_semantic_implies_counterexample():
     assert check_dependency(cex, D("incl(A ; B)"))
 
 
+@pytest.mark.parametrize("premises, goal", [
+    (["fd(A -> B)"], "incl(A ; B)"),
+    ([], "fd(A -> B)"),
+    (["tgd: A(x,y) -> A(y,x)"], "incl(A ; B)"),
+    ([], "tgd: A(x,y) -> A(y,x)"),
+    (["egd: A(x,y) & A(x,z) -> y = z"], "excl(A ; B)"),
+    ([], "egd: A(x,y) & A(x,z) -> y = z"),
+], ids=["fd-premise", "fd-goal", "tgd-premise", "tgd-goal", "egd-premise",
+        "egd-goal"])
+def test_semantic_implies_rejects_other_kinds(premises, goal):
+    with pytest.raises(DependencyError):
+        semantic_implies([D(p) for p in premises], D(goal))
+
+
+@pytest.mark.parametrize("bounds", [{"max_tuples": -1}, {"universe_size": -1}],
+                         ids=["max_tuples", "universe_size"])
+def test_semantic_implies_rejects_negative_bounds(bounds):
+    with pytest.raises(ValueError):
+        semantic_implies([D("incl(A ; B)")], D("incl(B ; A)"), **bounds)
+
+
 def test_fixture_lists_agree_with_both_engines(fixtures_dir):
     imps = json.loads((fixtures_dir / "casanova-implications.json").read_text())
     nonimps = json.loads(
@@ -249,3 +274,91 @@ def test_derivable_implies_semantically_valid(premises, goal):
         ok, cex = semantic_implies(premises, goal, universe_size=2,
                                    max_tuples=2)
         assert ok, (premises, goal, sorted(cex.tuples))
+
+
+# --- differential tests against the references in tests/ -------------------
+
+
+@st.composite
+def _deps_over(draw, attrs, kinds=(Ind, Exd)):
+    width = draw(st.integers(1, 2))
+    xs = tuple(draw(attrs) for _ in range(width))
+    ys = tuple(draw(attrs) for _ in range(width))
+    return draw(st.sampled_from(kinds))(xs, ys)
+
+
+def _triple(dep):
+    return ("incl" if isinstance(dep, Ind) else "excl", dep.xs, dep.ys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_deps_over(_attrs), max_size=3), _deps_over(_attrs),
+       st.integers(2, 3), st.integers(0, 3))
+def test_semantic_implies_matches_reference(premises, goal, universe_size,
+                                            max_tuples):
+    holds, cex = semantic_implies(premises, goal, universe_size, max_tuples)
+    ref = ref_implies([_triple(p) for p in premises], _triple(goal),
+                      universe_size, max_tuples)
+    assert holds == (ref is None)
+    if ref is not None:
+        assert cex.tuples == frozenset(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("inc-exc", "inc-only")), st.integers(2, 4),
+       st.integers(1, 4), st.data())
+def test_derive_matches_the_naive_closure(system, n_attrs, depth, data):
+    attrs = st.sampled_from("ABCD"[:n_attrs])
+    deps = _deps_over(attrs, (Ind,) if system == "inc-only" else (Ind, Exd))
+    premises = data.draw(st.lists(deps, max_size=4))
+    for goal in data.draw(st.lists(deps, min_size=3, max_size=3)):
+        found = derive(premises, goal, system, depth)
+        ref = ref_derive(premises, goal, system, depth)
+        assert (found and found.lines()) == (ref and ref.lines())
+
+
+def test_wide_exclusion_goal_stays_underivable():
+    premises = [D("excl(A,B,C ; D,A,B)"), D("incl(A ; D)")]
+    assert derive(premises, D("excl(A,A,A ; D,D,D)"), depth=3) is None
+
+
+@pytest.mark.parametrize("premises, goal", [
+    (["excl(A ; D)"], "excl(A,B,C ; D,A,B)"),
+    (["excl(B ; A)"], "excl(A,A,B ; B,B,A)"),
+    (["excl(A,B ; C,C)"], "excl(B,A,A ; C,C,B)"),
+    (["excl(A,B ; B,A)"], "excl(A,A,B ; B,A,A)"),
+    (["excl(A ; B)", "incl(C ; A)"], "excl(C,A,C ; B,B,B)"),
+])
+def test_wide_exclusion_derivations_match_the_naive_closure(premises, goal):
+    premises = [D(p) for p in premises]
+    found = derive(premises, D(goal), depth=4)
+    assert found is not None and verify_derivation(found, premises)
+    assert found.lines() == ref_derive(premises, D(goal), depth=4).lines()
+
+
+# --- the fixture report script ---------------------------------------------
+
+
+def _report_script():
+    path = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
+            / "dependency_calculus_report.py")
+    spec = importlib.util.spec_from_file_location("calculus_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, stub, reason", [
+    ("verify_derivation", lambda derivation, premises: False,
+     "derivation does not verify"),
+    ("semantic_implies", lambda premises, goal: (True, None),
+     "no counterexample found"),
+], ids=["verify", "refute"])
+def test_report_script_exits_1_when_a_check_fails(monkeypatch, capsys, name,
+                                                  stub, reason):
+    report = _report_script()
+    monkeypatch.setattr(report, name, stub)
+    monkeypatch.setattr(sys, "argv", ["dependency_calculus_report.py"])
+    assert report.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "FAILED    " + reason)

@@ -46,24 +46,31 @@ class Model:
             if value not in dom:
                 raise ModelError("constant %s maps outside the domain" % name)
         for name, table in self.functions.items():
-            if not table:
-                raise ModelError("function %s has an empty table" % name)
-            arities = {len(args) for args in table}
-            if len(arities) != 1:
-                raise ModelError("function %s has mixed arities" % name)
-            arity = arities.pop()
-            if len(table) != len(self.domain) ** arity:
-                raise ModelError("function %s is not total" % name)
-            for args, value in table.items():
-                if any(a not in dom for a in args) or value not in dom:
-                    raise ModelError("function %s maps outside the domain" % name)
+            self._validate_function(name, table, dom)
         for name, rows in self.relations.items():
-            arities = {len(row) for row in rows}
-            if len(arities) > 1:
-                raise ModelError("relation %s has mixed arities" % name)
-            for row in rows:
-                if any(a not in dom for a in row):
-                    raise ModelError("relation %s contains non-domain elements" % name)
+            self._validate_relation(name, rows, dom)
+
+    def _validate_function(self, name, table, dom):
+        if not table:
+            raise ModelError("function %s has an empty table" % name)
+        arities = {len(args) for args in table}
+        if len(arities) != 1:
+            raise ModelError("function %s has mixed arities" % name)
+        arity = arities.pop()
+        if len(table) != len(self.domain) ** arity:
+            raise ModelError("function %s is not total" % name)
+        for args, value in table.items():
+            if any(a not in dom for a in args) or value not in dom:
+                raise ModelError("function %s maps outside the domain" % name)
+
+    @staticmethod
+    def _validate_relation(name, rows, dom):
+        arities = {len(row) for row in rows}
+        if len(arities) > 1:
+            raise ModelError("relation %s has mixed arities" % name)
+        for row in rows:
+            if any(a not in dom for a in row):
+                raise ModelError("relation %s contains non-domain elements" % name)
 
     def function_value(self, name, args):
         try:
@@ -72,18 +79,34 @@ class Model:
             raise ModelError("no value for %s(%s)" % (name, ", ".join(args)))
 
     def with_relation(self, name, rows):
-        """A copy of the model with one relation added or replaced."""
-        relations = dict(self.relations)
-        relations[name] = frozenset(tuple(row) for row in rows)
-        return Model(self.domain, self.constants, self.functions, relations,
-                     allow_unit_domain=True)
+        """A copy of the model with one relation added or replaced.
+
+        Only the new table is validated: the copy shares the domain and
+        the other tables, which this model validated already.
+        """
+        rows = frozenset(tuple(row) for row in rows)
+        self._validate_relation(name, rows, set(self.domain))
+        out = self._copy()
+        out.relations[name] = rows
+        return out
 
     def with_function(self, name, table):
-        """A copy of the model with one total function added or replaced."""
-        functions = dict(self.functions)
-        functions[name] = dict(table)
-        return Model(self.domain, self.constants, functions, self.relations,
-                     allow_unit_domain=True)
+        """A copy of the model with one total function added or replaced,
+        validated as with_relation validates a relation."""
+        table = dict(table)
+        self._validate_function(name, table, set(self.domain))
+        out = self._copy()
+        out.functions[name] = table
+        return out
+
+    def _copy(self):
+        """A copy with its own maps of names to tables, sharing the tables."""
+        out = Model.__new__(Model)
+        out.domain = self.domain
+        out.constants = dict(self.constants)
+        out.functions = dict(self.functions)
+        out.relations = dict(self.relations)
+        return out
 
     def to_json_dict(self):
         return {

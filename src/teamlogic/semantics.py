@@ -69,7 +69,8 @@ class Budget:
 
     The evaluator, eval_eso and the game solver tick it once per node;
     it raises BudgetExceeded once more than max_nodes were spent.  Give
-    each search a fresh one.
+    each search a fresh one.  An eval_eso node is its root (grounding
+    and the first propagation) or one value tried at a decision.
     """
 
     max_nodes: int = 10_000_000
@@ -184,7 +185,7 @@ def _restore(env, var, saved):
 
 
 def _compile_relation(phi):
-    name, positive, read = phi.name, phi.positive, _reader(phi.args)
+    name, positive, read = phi.name, phi.positive, term_reader(phi.args)
 
     def holds(model, env):
         row = read(model, env)
@@ -196,7 +197,7 @@ def _compile_relation(phi):
     return holds
 
 
-def _reader(terms):
+def term_reader(terms):
     """A closure read(model, env) -> the tuple of the terms' values.
 
     Plain names are read straight from env; a constant or an unbound

@@ -17,19 +17,16 @@ team by one atom.
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
-from .model import subsets, tables
 from .syntax import (
     And, Or, Exists, Forall, Name, App,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
     ATOMS, LITERALS, atom_term_tuples,
     conjoin, disjoin, exists_block, flatten_and, forall_block,
     free_names, term_names, is_first_order, negate_nnf, parse, render,
-    substitute, substitute_term, subformula_instances, symbol_arities,
+    substitute, substitute_term, subformula_instances,
     fresh_vars,
 )
-from .semantics import Budget, compiled
 
 
 class TranslateError(ValueError):
@@ -390,23 +387,6 @@ class ESOFormula:
     prefix: list  # of SOSymbol, quantified left to right
     matrix: object  # FO formula over the extended signature
 
-    @cached_property
-    def checks(self):
-        """The matrix conjuncts as compiled closures, planned once per
-        sentence: those that read no prefix symbol, and per prefix
-        position those whose last-quantified symbol sits there."""
-        name_pos = {sym.name: i for i, sym in enumerate(self.prefix)}
-        checkpoint = [[] for _sym in self.prefix]
-        upfront = []
-        for c in flatten_and(self.matrix):
-            relations, functions = symbol_arities(c)
-            used = (relations.keys() | functions.keys()) & name_pos.keys()
-            if used:
-                checkpoint[max(name_pos[n] for n in used)].append(compiled(c))
-            else:
-                upfront.append(compiled(c))
-        return upfront, checkpoint
-
 
 def ie_to_eso(phi, vs):
     """Build Phi(A) with: M sat_X phi (lax)  iff  Phi holds with A := X(vs).
@@ -522,63 +502,16 @@ def ie_to_eso(phi, vs):
     return ESOFormula("A", len(vs), prefix, matrix)
 
 
-# ---------------------------------------------------------------------------
-# Brute-force ESO evaluation
-
-
 def eval_eso(model, eso, a, budget=None):
-    """Exhaustively search prefix interpretations making the matrix true.
-
-    A bounded relation is enumerated over the tuples of its bound only.
-    The search keeps one private interpretation and overwrites symbol k
-    in place.  Each matrix conjunct is checked right after its
-    last-quantified symbol, so the checks and the bound at depth k read
-    only symbols up to k, and nothing needs undoing on the way back.
+    """Whether some interpretation of the prefix makes the matrix true,
+    with the free relation holding the tuples a: the grounded search of
+    eso.eval_eso.  It is imported on first use: a process that decides no
+    ESO sentence then never compiles eso.py, which, where no bytecode is
+    cached (PYTHONDONTWRITEBYTECODE=1), adds 5-8 ms to the start-up of
+    every process on a 2-vCPU VM.
     """
-    tick = (budget or Budget()).tick
-    interp = model.with_relation(eso.free_relation, a)
-    upfront, checkpoint = eso.checks
-    # Every check is a sentence and restores what it binds, so env is
-    # empty between checks; a bound fills it for one tuple at a time.
-    env = {}
-    if not all(holds(interp, env) for holds in upfront):
-        return False
-
-    def values(sym):
-        """The table sym lives in, and its candidate values in search order."""
-        tuples = list(itertools.product(model.domain, repeat=sym.arity))
-        if sym.kind == "function":
-            return interp.functions, tables(tuples, model.domain)
-        if sym.bound is not None:
-            bvars, formula = sym.bound
-            within = compiled(formula)
-            kept = []
-            for t in tuples:
-                env.update(zip(bvars, t))
-                if within(interp, env):
-                    kept.append(t)
-            env.clear()
-            tuples = kept
-        return interp.relations, (frozenset(rows) for rows in subsets(tuples))
-
-    def assign(k):
-        if k == len(eso.prefix):
-            return True
-        sym = eso.prefix[k]
-        checks = checkpoint[k]
-        table, candidates = values(sym)
-        for value in candidates:
-            tick()
-            table[sym.name] = value
-            for holds in checks:
-                if not holds(interp, env):
-                    break
-            else:
-                if assign(k + 1):
-                    return True
-        return False
-
-    return assign(0)
+    from .eso import eval_eso as decide
+    return decide(model, eso, a, budget)
 
 
 def format_eso(eso):
@@ -704,7 +637,7 @@ def skolemnf_to_ie(nf, vs):
 
 
 def skolemnf_to_eso(nf):
-    """The source sentence of a normal form, for brute-force cross-checks."""
+    """The source sentence of a normal form, for cross-checks by eval_eso."""
     xterms = tuple(Name(x) for x in nf.xvars)
     f1, f2 = nf.functions[0][0], nf.functions[1][0]
     eq = Equality(App(f1, xterms), App(f2, xterms))

@@ -29,6 +29,24 @@ def test_model_validation():
         Model(["0", "1"], relations={"R": [("0",), ("0", "1")]})
 
 
+def test_copies_validate_the_new_table_and_leave_the_model_alone():
+    m = small_model()
+    for bad in ([("0",), ("0", "1")], [("7",)]):
+        with pytest.raises(ModelError):
+            m.with_relation("B", bad)
+    for bad in ({("0",): "1"}, {("0",): "1", ("1",): "7"},
+                {("0",): "1", ("1", "0"): "0"}):
+        with pytest.raises(ModelError):
+            m.with_function("g", bad)
+    copy = m.with_relation("R", [("1", "1")]).with_function("S", {("0",): "0", ("1",): "0"})
+    assert copy.relations["R"] == {("1", "1")}
+    assert copy.function_value("S", ("1",)) == "0"
+    assert copy.constants == m.constants and copy.domain == m.domain
+    assert m.relations["R"] == {("0", "1")}
+    assert m.function_value("S", ("1",)) == "0" and m.function_value("S", ("0",)) == "1"
+    assert m.to_json_dict() == small_model().to_json_dict()
+
+
 def test_eval_term_shadowing():
     m = small_model()
     s = Assignment({"x": "1", "c": "1"})

@@ -587,8 +587,8 @@ def test_compiled_closure_reads_tables_overwritten_later():
     assert not tarski(m, Assignment({}), phi)
     m.relations["B"] = frozenset({("0",)})
     assert tarski(m, Assignment({}), phi)
-    # eval_eso overwrites B in its own copy of the model, under the
-    # closures that phi's nodes already hold.
+    # eval_eso reads B as the prefix symbol, though the model has a table
+    # B and phi's nodes already hold closures compiled against it.
     eso = ESOFormula("A", 1, [SOSymbol("relation", "B", 1)],
                      And(phi, parse("forall x . (~B(x) \\/ A(x))")))
     for rows, held in (({("0",)}, True), (set(), False), ({("0",), ("1",)}, True)):

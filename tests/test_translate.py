@@ -9,9 +9,9 @@ from teamlogic.semantics import (
     Budget, BudgetExceeded, Mode, satisfies, satisfies_sentence,
 )
 from teamlogic.syntax import (
-    And, DepAtom, Equality, ExclAtom, Exists, Forall, InclAtom, IndepAtom,
-    Name, Or, RelAtom, conjoin, flatten_and, free_names, parse, render,
-    subformula_instances,
+    And, App, DepAtom, Equality, ExclAtom, Exists, Forall, InclAtom, IndepAtom,
+    Name, Or, RelAtom, conjoin, exists_block, flatten_and, forall_block,
+    free_names, parse, render, subformula_instances,
 )
 from teamlogic import translate
 from teamlogic.translate import (
@@ -22,7 +22,9 @@ from teamlogic.translate import (
     tc_sentence,
 )
 
+from budgets import within
 from oracles import reachable
+from ref_eso import ref_eval_eso
 
 DOM = ("0", "1")
 M2 = Model(DOM)
@@ -350,17 +352,127 @@ def test_eval_eso_function_enumeration():
     assert not eval_eso(m, eso, set())
 
 
+ESO_PROBE_BUDGET = 60   # as in perfbench/workloads.py
+
+
 def test_eval_eso_spends_a_fixed_number_of_nodes():
-    # The benchmark's eso probe shape: no interpretation of the split
-    # relations works, so the smallest budget that decides it is the
-    # whole search.
-    eso = ie_to_eso(parse("forall z . (x != z \\/ z != x /\\ excl(x ; y))"),
-                    ("x", "y"))
+    # The benchmark's eso probe shapes: no disjunct holds where z = x, so
+    # both split relations are empty at the row with z = x, its cover
+    # clause is empty, and the root refutes the sentence without a
+    # decision.
     m3 = Model(("0", "1", "2"))
-    relation = {("0", "1"), ("1", "2")}
-    assert not eval_eso(m3, eso, relation, Budget(1088))
+    teams = list(itertools.combinations(
+        itertools.product(m3.domain, repeat=2), 2))
+    for kind, left, right in itertools.product(("incl", "excl"), "xy", "yz"):
+        text = "forall z . (x != z \\/ z != x /\\ %s(%s ; %s))" % (kind, left,
+                                                                 right)
+        eso = ie_to_eso(parse(text), ("x", "y"))
+        for team in teams:
+            budget = Budget(ESO_PROBE_BUDGET)
+            assert not eval_eso(m3, eso, set(team), budget)
+            assert budget.nodes == 1, (text, team)
+    # A satisfiable sentence pins the decision order: each node is one
+    # value tried, relation booleans false first, in prefix order.
+    eso = ie_to_eso(parse("forall z . (excl(z ; x) \\/ incl(z ; y))"),
+                    ("x", "y"))
+    relation = {("0", "1"), ("1", "2"), ("2", "0")}
+    assert eval_eso(m3, eso, relation, Budget(7))
     with pytest.raises(BudgetExceeded):
-        eval_eso(m3, eso, relation, Budget(1087))
+        eval_eso(m3, eso, relation, Budget(6))
+
+
+# Random ESO sentences over a model relation R, the free relation A and
+# up to three prefix symbols, each bounded or not.  Quantifier blocks
+# guarded by a prefix relation, ~W(vs) under forall and W(vs) under
+# exists, some under a further quantifier, are drawn on purpose.
+_ESO_VARS = ("p", "q", "r")
+
+
+def _eso_terms(functions, depth=2):
+    names = st.sampled_from([Name(v) for v in _ESO_VARS])
+    if depth == 0 or not functions:
+        return names
+    inner = _eso_terms(functions, depth - 1)
+    return st.one_of(names, st.sampled_from(functions).flatmap(
+        lambda f: st.tuples(*[inner] * f[1]).map(
+            lambda args, name=f[0]: App(name, args))))
+
+
+def _eso_formulas(relations, functions):
+    terms = _eso_terms(functions)
+    atoms = st.one_of(
+        st.sampled_from(relations).flatmap(
+            lambda r: st.tuples(st.tuples(*[terms] * r[1]), st.booleans()).map(
+                lambda p, name=r[0]: RelAtom(name, *p))),
+        st.tuples(terms, terms, st.booleans()).map(lambda p: Equality(*p)))
+    ranges = [r for r in relations if r[1] <= len(_ESO_VARS) - 1]
+
+    def guarded(children):
+        def block(p):
+            (name, arity), universal, lift, body = p
+            vs = _ESO_VARS[:arity]
+            if lift and arity:
+                vs = vs[1:]
+                guard = Forall if universal else Exists
+                atom = guard(_ESO_VARS[-1], RelAtom(
+                    name, tuple(map(Name, (_ESO_VARS[-1],) + vs)), not universal))
+            else:
+                atom = RelAtom(name, tuple(map(Name, vs)), not universal)
+            if universal:
+                return forall_block(vs or ("p",), Or(atom, body))
+            return exists_block(vs or ("p",), And(atom, body))
+        return st.tuples(st.sampled_from(ranges), st.booleans(), st.booleans(),
+                         children).map(block)
+
+    return st.recursive(atoms, lambda children: st.one_of(
+        st.tuples(st.sampled_from((And, Or)), children, children).map(
+            lambda p: p[0](p[1], p[2])),
+        st.tuples(st.sampled_from((Exists, Forall)), st.sampled_from(_ESO_VARS),
+                  children).map(lambda p: p[0](p[1], p[2])),
+        guarded(children)), max_leaves=6)
+
+
+def _closed(phi, keep=()):
+    return forall_block(sorted(phi.free - set(keep)), phi)
+
+
+@st.composite
+def _eso_instances(draw):
+    dom = tuple(str(i) for i in range(draw(st.sampled_from((2, 3)))))
+    widest = 2 if len(dom) == 2 else 1
+    arity = st.integers(0, widest)
+    r_arity = draw(arity)
+    relations = [("A", 1), ("R", r_arity)]
+    functions = []
+    prefix = []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            sym = SOSymbol("function", "f%d" % i, draw(st.integers(0, 1)))
+            functions.append((sym.name, sym.arity))
+        else:
+            k = draw(arity)
+            bound = None
+            if draw(st.booleans()):
+                bvars = _ESO_VARS[:k]
+                bound = (bvars, _closed(draw(_eso_formulas(relations, functions)),
+                                        bvars))
+            sym = SOSymbol("relation", "W%d" % i, k, bound)
+            relations.append((sym.name, k))
+        prefix.append(sym)
+    matrix = _closed(draw(_eso_formulas(relations, functions)))
+    rows = st.sets(st.tuples(*[st.sampled_from(dom)] * r_arity))
+    m = Model(dom, relations={"R": draw(rows)})
+    a = draw(st.sets(st.tuples(st.sampled_from(dom))))
+    return m, ESOFormula("A", 1, prefix, matrix), a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eso_instances())
+def test_eval_eso_agrees_with_the_enumerating_search_on_any_sentence(instance):
+    m, eso, a = instance
+    what = "%s over %s with A = %s" % (translate.format_eso(eso),
+                                      ",".join(m.domain), sorted(a))
+    assert within(100_000, what, eval_eso, m, eso, a) == ref_eval_eso(m, eso, a)
 
 
 def _team_relation(team, variables):
@@ -427,13 +539,13 @@ def test_eval_eso_leaves_the_model_alone(monkeypatch):
     functions = {name: dict(table) for name, table in m.functions.items()}
     prefix = [SOSymbol("relation", "B", 1), SOSymbol("function", "f", 1)]
     copies = []
-    build = Model.__init__
+    copy = Model._copy
 
-    def counted(self, *args, **kwargs):
+    def counted(self):
         copies.append(self)
-        build(self, *args, **kwargs)
+        return copy(self)
 
-    monkeypatch.setattr(Model, "__init__", counted)
+    monkeypatch.setattr(Model, "_copy", counted)
     for text, held in (("forall x . ((A(x) \\/ B(x)) /\\ f(x) = S(x))", True),
                        ("forall x . (B(x) /\\ ~R(x) /\\ f(x) = x)", False)):
         copies.clear()

@@ -2,9 +2,10 @@
 
 eval_eso grounds the sentence over the model into clauses over one
 boolean per tuple a prefix relation may hold (and per argument tuple and
-value of a prefix function), then decides the clauses by DPLL with unit
-propagation.  Callers reach it as translate.eval_eso, next to the
-ie_to_eso translation whose output it decides.
+value of a prefix function), then decides the clauses by dpll, a DPLL
+search with unit propagation that the game solver shares.  Callers
+reach eval_eso as translate.eval_eso, next to the ie_to_eso translation
+whose output it decides.
 
 A ground formula is True, False, a literal (a boolean's number, negated
 for its negation), an _All or an _Any; the last two hold two or more
@@ -445,15 +446,17 @@ def _ground_block(phi, names):
     return None, grounded
 
 
-def _search(clauses, first, tick):
-    """Whether the clauses over booleans 1 .. len(first) - 1 are
-    satisfiable, by DPLL with unit propagation (Davis, Logemann &
-    Loveland 1962).
+def dpll(clauses, first, tick):
+    """A satisfying assignment of the clauses over booleans
+    1 .. len(first) - 1, found by DPLL with unit propagation (Davis,
+    Logemann & Loveland 1962), or None if there is none.  The clauses
+    are sequences of literals: a boolean's number, negated for its
+    negation.  In the list returned, item b is boolean b's value.
 
-    Each decision sets the lowest-numbered unset boolean to its first
-    value and, if that fails, to the other; each value tried ticks the
+    Each decision sets the lowest-numbered unset boolean to first[b]
+    and, if that fails, to the other value; each value tried ticks the
     budget.  A loop with an explicit stack of decisions, not a recursion
-    per decision.
+    per decision.  eval_eso and the game solver both decide by it.
     """
     count = len(first) - 1
     # truth[lit] and occurs[lit] are indexed by the literal itself: a
@@ -463,7 +466,7 @@ def _search(clauses, first, tick):
     units = []
     for clause in clauses:
         if not clause:
-            return False
+            return None
         if len(clause) == 1:
             units.append(clause[0])
         for lit in clause:
@@ -502,14 +505,14 @@ def _search(clauses, first, tick):
         del trail[mark:]
 
     if not all(propagate(lit) for lit in units):
-        return False
+        return None
     decisions = []   # (trail length before, boolean, flipped already)
     b = 1
     while True:
         while b <= count and truth[b] is not None:
             b += 1
         if b > count:
-            return True
+            return truth[:count + 1]
         tick()
         decisions.append((len(trail), b, False))
         held = propagate(b if first[b] else -b)
@@ -520,7 +523,7 @@ def _search(clauses, first, tick):
                 if not flipped:
                     break
             else:
-                return False
+                return None
             tick()
             decisions.append((mark, b, True))
             held = propagate(-b if first[b] else b)
@@ -535,7 +538,7 @@ def eval_eso(model, eso, a, budget=None):
     bound does not rule out under the symbols before it.  A prefix
     function f has a boolean f(args, v) per argument tuple and value,
     exactly one true per argument tuple.  The model's tables and a are
-    constants.  The clauses are decided by _search: decisions follow the
+    constants.  The clauses are decided by dpll: decisions follow the
     booleans' numbers, so prefix order and then itertools.product tuple
     order; a relation's boolean is tried false first and a function's
     true first.  One node is the root (grounding and the first
@@ -556,4 +559,4 @@ def eval_eso(model, eso, a, budget=None):
     if held is False:
         return False
     ctx.add(held)
-    return _search(ctx.clauses, ctx.first, tick)
+    return dpll(ctx.clauses, ctx.first, tick) is not None

@@ -10,12 +10,16 @@ occurrence form a team, and that team must satisfy the atom.
 
 Uniform (optionally deterministic) winning strategies for II match lax
 (respectively strict) team satisfaction; the tests cross-check this
-against the semantics module.
+against the semantics module and the reference evaluator.  Whether
+such a strategy exists is a clause problem over which positions are
+reached and which options II chooses; find_uniform_winning builds the
+clauses and decides them with eso.dpll, the search eval_eso uses.
 """
 
-import heapq
+import itertools
 
-from .model import Team, eval_term, subsets
+from .eso import dpll
+from .model import Team, eval_term
 from .syntax import (
     And, Or, Exists, Forall, InclAtom, ExclAtom,
     LITERALS, render, subformula_instances,
@@ -54,10 +58,9 @@ def _reach(start, step):
 class Arena:
     """Immutable game graph built from a model, team and formula.
 
-    order sorts the positions once: exclusion positions first, then by
-    path, then assignment; rank maps each position to its index there,
-    the solver's visiting order.  Exclusion positions come first so that
-    the solver checks one as soon as a choice reaches it.
+    order sorts the positions once, by path and then assignment, so a
+    position comes after its predecessors; the solver numbers its
+    booleans in this order.
     """
 
     def __init__(self, model, team, formula):
@@ -75,11 +78,7 @@ class Arena:
         self.turn = {}
         self.positions = frozenset(
             _reach((((), row) for row in team.rows), self._expand))
-        self.order = tuple(sorted(
-            self.positions,
-            key=lambda p: (not isinstance(self.subformula[p[0]], ExclAtom),
-                           _position_key(p))))
-        self.rank = {p: i for i, p in enumerate(self.order)}
+        self.order = tuple(sorted(self.positions, key=_position_key))
         self.initial = tuple(p for p in self.order if not p[0])
 
     def _expand(self, position):
@@ -148,140 +147,100 @@ def _atom_teams(arena, positions):
             for path, group in rows.items()}
 
 
-def _uniformity_ok(arena, reached):
-    """Every incl/excl occurrence holds on the team reached there."""
-    return all(check_atom(arena.model, team, arena.subformula[path])
-               for path, team in _atom_teams(arena, reached).items())
-
-
 def is_uniform(arena, tau):
-    return _uniformity_ok(arena, reachable_under(arena, tau))
-
-
-def _trim(arena):
-    """Remove positions that can belong to no uniform winning reachable set.
-
-    Starts without the exclusion positions whose own row breaks their
-    atom (the atom must hold on each row of its team alone), then
-    alternates monotone deletions (losing terminals, stuck II positions,
-    I positions with a deleted successor, inclusion positions with no
-    witness left) with restriction to the part reachable from the
-    initial positions.  Every valid reachable set survives each step, so
-    the result over-approximates all of them.
-    """
-    alive = {p for p in arena.positions
-             if not isinstance(arena.subformula[p[0]], ExclAtom)
-             or _uniformity_ok(arena, [p])}
-    changed = True
-    while changed:
-        changed = False
-        for position in list(alive):
-            succ = arena.successors[position]
-            if not succ:
-                keep = arena.terminal_winner(position) == PLAYER_II
-            elif arena.turn[position] == PLAYER_II:
-                keep = any(p in alive for p in succ)
-            else:
-                keep = all(p in alive for p in succ)
-            if not keep:
-                alive.discard(position)
-                changed = True
-        # Inclusion witnesses must come from the surviving set.
-        for path, team in _atom_teams(arena, alive).items():
-            sub = arena.subformula[path]
-            if isinstance(sub, InclAtom):
-                right = team.relation(arena.model, sub.right)
-                for s in team.rows:
-                    if tuple(eval_term(arena.model, s, t)
-                             for t in sub.left) not in right:
-                        alive.discard((path, s))
-                        changed = True
-        # Keep only what the initial positions can still reach.
-        reached = _reach((p for p in arena.initial if p in alive),
-                         lambda p: [q for q in arena.successors[p] if q in alive])
-        if reached != alive:
-            alive = reached
-            changed = True
-    return alive
+    """Every incl/excl occurrence holds on the team tau reaches there."""
+    teams = _atom_teams(arena, reachable_under(arena, tau))
+    return all(check_atom(arena.model, team, arena.subformula[path])
+               for path, team in teams.items())
 
 
 def find_uniform_winning(arena, deterministic=False, budget=None):
     """Search for a uniform winning strategy for Player II.
 
-    Returns a Strategy or None; raises BudgetExceeded when the node cap
-    is hit before the search is decided.
+    The strategy is a satisfying assignment of clauses over one boolean
+    choose(p, c) per option c of each II position p, numbered first in
+    position order, and one reach(p) per position: the initial positions
+    are reached; a reached I position reaches every successor; a reached
+    II position chooses at least one option (exactly one when
+    deterministic), and an option is chosen at a reached position only
+    and reaches its successor; a position other than an initial one is
+    reached only from a reached I parent or a chosen option of an II
+    parent (the arena is acyclic); no losing terminal is reached.  An
+    incl or excl occurrence names each value of its terms by one more
+    boolean, set exactly when a reached position there has that left
+    value: for incl it needs a reached position with that right value,
+    for excl it rules out every reached position with it, and a row
+    that clashes with itself is never reached.
+
+    The clauses are decided by eso.dpll: choose is tried true first and
+    reach false.  Once the choices above a position are set, propagation
+    sets its reach, so decisions are II's choices.  One node is the root
+    or one value tried at a decision.  Returns a Strategy or None;
+    raises BudgetExceeded when the node cap is hit first.
     """
-    alive = _trim(arena)
-    if any(p not in alive for p in arena.initial):
-        return None
-    if not deterministic and ExclAtom not in arena.formula.kinds:
-        # The trimmed set is itself a valid reachable set: closed, all
-        # terminals winning, inclusion positions witnessed within it.
-        choices = {p: tuple(q for q in arena.successors[p] if q in alive)
-                   for p in alive
-                   if arena.turn[p] == PLAYER_II and not arena.is_terminal(p)}
-        return Strategy(choices)
-
     tick = (budget or Budget()).tick
-    order, rank = arena.order, arena.rank
+    tick()
+    turn, successors, model = arena.turn, arena.successors, arena.model
+    first = [None]
 
-    def excl_ok(position, reached):
-        path = position[0]
-        if not isinstance(arena.subformula[path], ExclAtom):
-            return True
-        peers = [order[r] for r in reached if order[r][0] == path]
-        return _uniformity_ok(arena, peers + [position])
+    def boolean(value):
+        first.append(value)
+        return len(first) - 1
 
-    def push_open(frontier, reached, chosen):
-        for p in chosen:
-            if rank[p] not in reached:
-                heapq.heappush(frontier, rank[p])
-        return frontier
-
-    # Depth first over the open positions, smallest rank first.  Only
-    # Player II's choices branch; each open choice is kept on a stack
-    # with the options it has left and the frontier and reached set to
-    # resume from, so that the search needs no recursion per position.
-    # One tick per visited state; a rank pushed twice is dropped
-    # without one.
-    choices = {}
-    stack = []  # (position, remaining option sets, frontier, reached before)
-    frontier = [rank[p] for p in arena.initial]
-    reached = set()
-    while True:
-        while frontier and frontier[0] in reached:
-            heapq.heappop(frontier)
-        tick()
-        if frontier:
-            position = order[heapq.heappop(frontier)]
-            if arena.is_terminal(position):
-                if excl_ok(position, reached):
-                    reached.add(rank[position])
-                    continue
-            elif arena.turn[position] == PLAYER_I:
-                reached.add(rank[position])
-                push_open(frontier, reached, arena.successors[position])
-                continue
-            else:
-                succ = [p for p in arena.successors[position] if p in alive]
-                option_sets = subsets(succ, 1, 1 if deterministic else None)
-                stack.append((position, option_sets, frontier, reached))
-        elif _uniformity_ok(arena, (order[r] for r in reached)):
-            return Strategy(choices)
-        # Take the next option of the newest open choice, dropping the
-        # choices that have none left.
-        while stack:
-            position, options, rest, before = stack[-1]
-            choices.pop(position, None)
-            chosen = next(options, None)
-            if chosen is not None:
-                choices[position] = chosen
-                reached = before | {rank[position]}
-                frontier = push_open(list(rest), reached, chosen)
-                break
-            stack.pop()
-        else:
-            return None
+    choose = {(p, c): boolean(True) for p in arena.order
+              if turn[p] == PLAYER_II for c in successors[p]}
+    reach = {p: boolean(False) for p in arena.order}
+    clauses = [(reach[p],) for p in arena.initial]
+    support = {p: [-reach[p]] for p in arena.order if p[0]}
+    atoms = {}   # occurrence path -> [(reach, left value, right value)]
+    for p in arena.order:
+        r, succ, sub = reach[p], successors[p], arena.subformula[p[0]]
+        if turn[p] == PLAYER_I:
+            for c in succ:
+                clauses.append((-r, reach[c]))
+                support[c].append(r)
+        elif succ:
+            options = [choose[p, c] for c in succ]
+            clauses.append([-r] + options)
+            for c, o in zip(succ, options):
+                clauses += [(-o, r), (-o, reach[c])]
+                support[c].append(o)
+            if deterministic:
+                clauses += [(-o, -q) for o, q
+                            in itertools.combinations(options, 2)]
+        elif isinstance(sub, (InclAtom, ExclAtom)):
+            values = [tuple(eval_term(model, p[1], t) for t in terms)
+                      for terms in (sub.left, sub.right)]
+            atoms.setdefault(p[0], []).append((r, *values))
+        elif arena.terminal_winner(p) == PLAYER_I:
+            clauses.append((-r,))
+    clauses += support.values()
+    for path, group in atoms.items():
+        incl = isinstance(arena.subformula[path], InclAtom)
+        lefts = {}   # left value -> the reach booleans of its positions
+        for r, left, _right in group:
+            lefts.setdefault(left, []).append(r)
+        named = {left: boolean(False) for left in lefts}
+        witnesses = {left: [-v] for left, v in named.items()}
+        for left, rs in lefts.items():
+            clauses.append([-named[left]] + rs)
+            clauses += [(-r, named[left]) for r in rs]
+        for r, left, right in group:
+            if incl:
+                if right in witnesses:
+                    witnesses[right].append(r)
+            elif left == right:
+                clauses.append((-r,))   # the row clashes with itself
+            elif right in named:
+                clauses.append((-r, -named[right]))
+        if incl:
+            clauses += witnesses.values()
+    truth = dpll(clauses, first, tick)
+    if truth is None:
+        return None
+    return Strategy({p: [c for c in successors[p] if truth[choose[p, c]]]
+                     for p in arena.order if turn[p] == PLAYER_II
+                     and successors[p] and truth[reach[p]]})
 
 
 def format_strategy(arena, tau):

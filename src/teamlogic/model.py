@@ -330,9 +330,11 @@ def subsets(items, smallest=0, largest=None):
     """Every subset of items with smallest to largest members, as tuples:
     smaller ones first, itertools.combinations order within a size.
 
-    Every candidate set the engines try comes from here, so node counts
-    and the first witness found follow this order.  A lax choice takes
-    subsets(options, 1), a strict one subsets(options, 1, 1).
+    The enumerating searches (the evaluator's witness sets and covers,
+    equiv and semantic_implies) take their candidate sets from here, so
+    their node counts and the first witness found follow this order.  A
+    lax choice takes subsets(options, 1), a strict one subsets(options,
+    1, 1).  eval_eso and the game solver decide clauses instead.
     """
     items = tuple(items)
     top = len(items) if largest is None else min(largest, len(items))

@@ -69,8 +69,9 @@ class Budget:
 
     The evaluator, eval_eso and the game solver tick it once per node;
     it raises BudgetExceeded once more than max_nodes were spent.  Give
-    each search a fresh one.  An eval_eso node is its root (grounding
-    and the first propagation) or one value tried at a decision.
+    each search a fresh one.  For eval_eso and the game solver alike, a
+    node is the root (building the clauses and the first propagation)
+    or one value tried at a decision of eso.dpll.
     """
 
     max_nodes: int = 10_000_000

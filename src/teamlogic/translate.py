@@ -18,6 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from .eso import eval_eso
 from .syntax import (
     And, Or, Exists, Forall, Name, App,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
@@ -493,25 +494,16 @@ def ie_to_eso(phi, vs):
             return
         raise TranslateError("cannot translate %s to ESO" % render(sub))
 
-    go(phi, RelAtom("A", rel_args(vs)), vs)
+    try:
+        go(phi, RelAtom("A", rel_args(vs)), vs)
+    finally:
+        del go   # go refers to itself: break the cycle
     if constraints:
         matrix = conjoin(constraints)
     else:
         v = fresh(1)[0]
         matrix = Forall(v, Equality(Name(v), Name(v)))
     return ESOFormula("A", len(vs), prefix, matrix)
-
-
-def eval_eso(model, eso, a, budget=None):
-    """Whether some interpretation of the prefix makes the matrix true,
-    with the free relation holding the tuples a: the grounded search of
-    eso.eval_eso.  It is imported on first use: a process that decides no
-    ESO sentence then never compiles eso.py, which, where no bytecode is
-    cached (PYTHONDONTWRITEBYTECODE=1), adds 5-8 ms to the start-up of
-    every process on a 2-vCPU VM.
-    """
-    from .eso import eval_eso as decide
-    return decide(model, eso, a, budget)
 
 
 def format_eso(eso):

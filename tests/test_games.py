@@ -126,17 +126,33 @@ def test_search_over_thousands_of_positions(text, deterministic, size):
 
 
 @pytest.mark.parametrize("rows, found, nodes", [
-    ([("0", "1"), ("1", "2"), ("2", "0")], True, 22),
-    ([("0", "1"), ("1", "2"), ("2", "0"), ("0", "0")], False, 12),
+    ([("0", "1"), ("1", "2"), ("2", "0")], True, 1),
+    ([("0", "1"), ("1", "2"), ("2", "0"), ("0", "0")], False, 1),
 ])
 def test_search_spends_a_fixed_number_of_nodes(rows, found, nodes):
-    # Deterministic dep(x, y), compiled: the smallest budget that decides.
+    # Deterministic dep(x, y), compiled: unit propagation decides both
+    # at the root.
     phi = translate.compile(parse("dep(x, y)"), frozenset({"incl", "excl"}))
     arena = build_arena(Model(tuple("012")), team(rows), phi)
-    tau = find_uniform_winning(arena, deterministic=True, budget=Budget(nodes))
+    budget = Budget(nodes)
+    tau = find_uniform_winning(arena, deterministic=True, budget=budget)
     assert (tau is not None) == found
-    with pytest.raises(BudgetExceeded):
-        find_uniform_winning(arena, deterministic=True, budget=Budget(nodes - 1))
+    assert budget.nodes == nodes
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_search_propagates_over_a_large_arena(deterministic):
+    # 6,738 positions over 6 values; each leaf row picks a disjunct whose
+    # incl or excl team must still hold.  The search that branched on
+    # every open choice spent 5,047 nodes here in both modes.
+    m = Model(tuple("012345"))
+    arena = build_arena(
+        m, Team.from_tuples(("x",), [(d,) for d in m.domain]),
+        parse("forall a b c . (excl(x ; a) \\/ incl(a ; x) \\/ a = b)"))
+    assert len(arena.positions) == 6738
+    tau = find_uniform_winning(arena, deterministic=deterministic,
+                               budget=Budget(1_000))
+    assert tau is not None and is_uniform(arena, tau)
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
@@ -198,6 +214,7 @@ def test_game_agrees_with_team_semantics(phi, x, deterministic):
     mode = Mode.STRICT if deterministic else Mode.LAX
     assert (tau is not None) == within(NODES, what, satisfies, M2, x, phi,
                                        mode).is_sat
+    assert (tau is not None) == ref_sat(M2, x, phi, strict=deterministic)
     if tau is not None:
         assert is_uniform(arena, tau)
         if deterministic:

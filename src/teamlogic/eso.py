@@ -18,7 +18,7 @@ from .model import ModelError, eval_term
 from .semantics import Budget, compiled, term_reader
 from .syntax import (
     And, Or, Exists, Forall, Name, App, RelAtom, LITERALS,
-    atom_term_tuples, flatten_and, flatten_or,
+    atom_term_tuples,
 )
 
 
@@ -247,12 +247,10 @@ def _part(phi, names):
         return compiled(phi), None
     if not isinstance(phi, (And, Or)):   # raises as the compiled closure does
         return compiled(phi), None
-    conjunction = isinstance(phi, And)
-    parts = [_part(part, names) for part in
-             (flatten_and(phi) if conjunction else flatten_or(phi))]
+    parts = [_part(part, names) for part in phi.parts]
     if all(holds for holds, _ground in parts):
         return compiled(phi), None
-    return None, _junction(parts, conjunction)
+    return None, _junction(parts, isinstance(phi, And))
 
 
 def _junction(parts, conjunction):
@@ -380,7 +378,7 @@ def _ground_block(phi, names):
     while isinstance(body, kind) and body.var not in variables:
         variables.append(body.var)
         body = body.body
-    parts = flatten_or(body) if universal else flatten_and(body)
+    parts = body.parts if type(body) is (Or if universal else And) else (body,)
     specs = [_part(part, names) for part in parts]
     if all(holds for holds, _ground in specs):
         return compiled(phi), None

@@ -88,7 +88,7 @@ class Arena:
         path, s = position
         sub = self.subformula[path]
         if isinstance(sub, (And, Or)):
-            succ = ((path + (0,), s), (path + (1,), s))
+            succ = tuple((path + (i,), s) for i in range(len(sub.parts)))
         elif isinstance(sub, (Exists, Forall)):
             succ = tuple((path + (0,), s.extended(sub.var, m))
                          for m in self.model.domain)
@@ -244,7 +244,9 @@ def find_uniform_winning(arena, deterministic=False, budget=None):
 
 
 def format_strategy(arena, tau):
-    """CLI rendering: one line per choice, 'path | assignment -> successors'."""
+    """CLI rendering: one line per choice, 'path | assignment -> successors'.
+    A path joins the child indices from the root ('-'), each up to k - 1
+    at a k-part junction, with dots."""
     lines = []
     for position in sorted(tau.choices, key=_position_key):
         path, s = position

@@ -53,7 +53,7 @@ from .model import ModelError, Team, eval_term, subsets
 from .syntax import (
     And, Or, Exists, Forall, Name,
     RelAtom, Equality, DepAtom, IndepAtom, InclAtom, ExclAtom, EquiAtom,
-    LITERALS, ATOMS, conjoin, flatten_and, flatten_or, free_names,
+    LITERALS, ATOMS, conjoin, flatten_and, free_names,
     is_first_order, term_names,
 )
 
@@ -137,10 +137,16 @@ def _compile(phi):
     if isinstance(phi, Equality):
         return _compile_equality(phi)
     if isinstance(phi, (And, Or)):
-        left, right = compiled(phi.left), compiled(phi.right)
-        if isinstance(phi, And):
-            return lambda model, env: left(model, env) and right(model, env)
-        return lambda model, env: left(model, env) or right(model, env)
+        parts = [compiled(part) for part in phi.parts]
+        decided = isinstance(phi, Or)   # the part value that decides phi
+
+        def holds(model, env):
+            for part in parts:
+                if part(model, env) is decided:
+                    return decided
+            return not decided
+
+        return holds
     if isinstance(phi, Exists):
         var, body = phi.var, compiled(phi.body)
 
@@ -428,7 +434,7 @@ class Evaluator:
         if self.mode is Mode.LAX and is_union_closed(phi):
             return len(self.largest_subteam(phi, team)) == len(team.rows)
         if isinstance(phi, And):
-            conjuncts = sorted(flatten_and(phi), key=_conjunct_cost)
+            conjuncts = sorted(phi.parts, key=_conjunct_cost)
             return all(self.sat(c, team) for c in conjuncts)
         if isinstance(phi, Or):
             return self._sat_or(phi, team)
@@ -485,7 +491,7 @@ class Evaluator:
             rows = set(team.rows)
             while True:
                 new = rows
-                for conjunct in flatten_and(phi):
+                for conjunct in phi.parts:
                     new = self.largest_subteam(conjunct, team.with_rows(new))
                 if new == rows:
                     return rows
@@ -493,7 +499,7 @@ class Evaluator:
                 self.tick()
         if isinstance(phi, Or):
             out = set()
-            for disjunct in flatten_or(phi):
+            for disjunct in phi.parts:
                 out |= self.largest_subteam(disjunct, team)
             return out
         if isinstance(phi, Exists):
@@ -587,7 +593,7 @@ class Evaluator:
         return flat, (conjoin(rest) if rest else None)
 
     def _sat_or(self, phi, team):
-        sides = [self._split_side(side) for side in flatten_or(phi)]
+        sides = [self._split_side(side) for side in phi.parts]
         rows = team.sorted_rows()
         eligible = []  # per side: set of rows passing its flat conjuncts
         for flat, _body in sides:
@@ -747,7 +753,7 @@ class Evaluator:
                 return None
         sides = []
         if or_conj is not None:
-            for side in flatten_or(or_conj):
+            for side in or_conj.parts:
                 flat, side_body = self._split_side(side)
                 if side_body is not None and free_names(side_body) & blockset:
                     return None

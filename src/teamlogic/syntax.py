@@ -20,14 +20,18 @@ The concrete syntax is plain ASCII:
 Identifiers are runs of [A-Za-z0-9_], so "0" is a legal constant name.
 Whether a bare identifier in term position denotes a variable or a
 constant is resolved against the structure at evaluation time, not at
-parse time.  "\\/" binds looser than "/\\"; both associate to the left.
-Formulas are kept in negation normal form: "~" is only accepted on
-relation atoms, and "!=" is the negation of "=".  A formula nested
-deeper than MAX_NESTING levels, counting bound variables and open
-parentheses, is a ParseError.
+parse time.  "\\/" binds looser than "/\\".  Both are associative under
+lax and strict team semantics, so a chain of either is one node holding
+its parts however it is bracketed: a k-part disjunction is one split of
+the team into k parts.  Formulas are kept in negation normal form: "~"
+is only accepted on relation atoms, and "!=" is the negation of "=".  A
+formula nested deeper than MAX_NESTING levels, counting bound variables
+and open parentheses, is a ParseError.
 """
 
 from dataclasses import dataclass
+import functools
+import itertools
 import re
 
 
@@ -109,9 +113,18 @@ def _union(a, b):
 
 
 class _Connective:
-    def __post_init__(self):
-        _set_facts(self, _union(self.left.free, self.right.free),
-                   _union(self.left.kinds, self.right.kinds))
+    """A junction of two or more parts; a part of its own kind is spliced
+    in, so And(And(a, b), c) == And(a, And(b, c)) == And(a, b, c)."""
+
+    def __init__(self, *parts):
+        flat = []
+        for part in parts:
+            flat.extend(part.parts if type(part) is type(self) else (part,))
+        if len(flat) < 2:
+            raise ValueError("%s needs two or more parts" % type(self).__name__)
+        self.__dict__["parts"] = tuple(flat)
+        _set_facts(self, functools.reduce(_union, [p.free for p in flat]),
+                   functools.reduce(_union, [p.kinds for p in flat]))
 
 
 class _Quantifier:
@@ -167,16 +180,14 @@ class EquiAtom(_Atom):
     right: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class And(_Connective):
-    left: object
-    right: object
+    parts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Or(_Connective):
-    left: object
-    right: object
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -243,18 +254,15 @@ def symbol_arities(phi):
     return relations, functions
 
 
+def fresh_names(avoid):
+    """Yield the names _v0, _v1, ... that are not in avoid, in order."""
+    return (name for name in map("_v%d".__mod__, itertools.count())
+            if name not in avoid)
+
+
 def fresh_vars(count, avoid):
     """Deterministically named fresh variables _v0, _v1, ... avoiding a set."""
-    avoid = set(avoid)
-    out = []
-    i = 0
-    while len(out) < count:
-        cand = "_v%d" % i
-        if cand not in avoid:
-            out.append(cand)
-            avoid.add(cand)
-        i += 1
-    return out
+    return list(itertools.islice(fresh_names(avoid), count))
 
 
 def substitute(phi, mapping):
@@ -282,10 +290,8 @@ def substitute(phi, mapping):
         return ExclAtom(subs(phi.left), subs(phi.right))
     if isinstance(phi, EquiAtom):
         return EquiAtom(subs(phi.left), subs(phi.right))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, mapping), substitute(phi.right, mapping))
-    if isinstance(phi, Or):
-        return Or(substitute(phi.left, mapping), substitute(phi.right, mapping))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(*(substitute(p, mapping) for p in phi.parts))
     if isinstance(phi, (Exists, Forall)):
         inner = {k: v for k, v in mapping.items() if k != phi.var}
         for t in inner.values():
@@ -304,8 +310,8 @@ def subformula_instances(phi, path=()):
     """
     yield path, phi
     if isinstance(phi, (And, Or)):
-        yield from subformula_instances(phi.left, path + (0,))
-        yield from subformula_instances(phi.right, path + (1,))
+        for i, part in enumerate(phi.parts):
+            yield from subformula_instances(part, path + (i,))
     elif isinstance(phi, (Exists, Forall)):
         yield from subformula_instances(phi.body, path + (0,))
 
@@ -321,9 +327,9 @@ def negate_nnf(phi):
     if isinstance(phi, Equality):
         return Equality(phi.left, phi.right, not phi.positive)
     if isinstance(phi, And):
-        return Or(negate_nnf(phi.left), negate_nnf(phi.right))
+        return Or(*map(negate_nnf, phi.parts))
     if isinstance(phi, Or):
-        return And(negate_nnf(phi.left), negate_nnf(phi.right))
+        return And(*map(negate_nnf, phi.parts))
     if isinstance(phi, Exists):
         return Forall(phi.var, negate_nnf(phi.body))
     if isinstance(phi, Forall):
@@ -332,34 +338,20 @@ def negate_nnf(phi):
 
 
 def flatten_and(phi):
-    """The conjuncts of a nest of conjunctions, left to right."""
-    if isinstance(phi, And):
-        return flatten_and(phi.left) + flatten_and(phi.right)
-    return [phi]
-
-
-def flatten_or(phi):
-    """The disjuncts of a nest of disjunctions, left to right."""
-    if isinstance(phi, Or):
-        return flatten_or(phi.left) + flatten_or(phi.right)
-    return [phi]
+    """The conjuncts of phi: its parts if it is a conjunction, else phi."""
+    return phi.parts if isinstance(phi, And) else (phi,)
 
 
 def conjoin(parts):
-    """Left-nested conjunction of one or more formulas."""
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    """The conjunction of one or more formulas (of one, that formula);
+    disjoin likewise."""
+    parts = tuple(parts)
+    return parts[0] if len(parts) == 1 else And(*parts)
 
 
 def disjoin(parts):
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    parts = tuple(parts)
+    return parts[0] if len(parts) == 1 else Or(*parts)
 
 
 def exists_block(variables, body):
@@ -384,20 +376,14 @@ def _render_terms(terms):
 
 def render(phi):
     """Concrete syntax for a formula; parse(render(phi)) == phi."""
-    return _render_disj(phi)
-
-
-def _render_disj(phi):
     if isinstance(phi, Or):
-        return "%s \\/ %s" % (_render_disj(phi.left), _render_conj(phi.right))
+        return " \\/ ".join(map(_render_conj, phi.parts))
     return _render_conj(phi)
 
 
 def _render_conj(phi):
-    if isinstance(phi, Or):
-        return "(%s)" % _render_disj(phi)
     if isinstance(phi, And):
-        return "%s /\\ %s" % (_render_conj(phi.left), _render_unit(phi.right))
+        return " /\\ ".join(map(_render_unit, phi.parts))
     return _render_unit(phi)
 
 
@@ -409,13 +395,9 @@ def _render_unit(phi):
         while isinstance(body, type(phi)):
             names.append(body.var)
             body = body.body
-        if isinstance(body, (And, Or)):
-            tail = "(%s)" % _render_disj(body)
-        else:
-            tail = _render_unit(body)
-        return "%s %s . %s" % (word, " ".join(names), tail)
+        return "%s %s . %s" % (word, " ".join(names), _render_unit(body))
     if isinstance(phi, (And, Or)):
-        return "(%s)" % _render_disj(phi)
+        return "(%s)" % render(phi)
     return _render_atom(phi)
 
 
@@ -509,18 +491,18 @@ class _Parser:
         self.depth -= 1
 
     def formula(self):
-        out = self.conj()
+        parts = [self.conj()]
         while self.peek() == "\\/":
             self.take()
-            out = Or(out, self.conj())
-        return out
+            parts.append(self.conj())
+        return disjoin(parts)
 
     def conj(self):
-        out = self.unit()
+        parts = [self.unit()]
         while self.peek() == "/\\":
             self.take()
-            out = And(out, self.unit())
-        return out
+            parts.append(self.unit())
+        return conjoin(parts)
 
     def unit(self):
         tok = self.peek()

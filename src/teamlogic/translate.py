@@ -26,7 +26,7 @@ from .syntax import (
     conjoin, disjoin, exists_block, flatten_and, forall_block,
     free_names, term_names, is_first_order, negate_nnf, parse, render,
     substitute, substitute_term, subformula_instances,
-    fresh_vars,
+    fresh_names, fresh_vars,
 )
 
 
@@ -46,7 +46,7 @@ def _all_names(phi):
     if isinstance(phi, ATOMS):
         return set(free_names(phi))
     if isinstance(phi, (And, Or)):
-        return _all_names(phi.left) | _all_names(phi.right)
+        return set().union(*map(_all_names, phi.parts))
     return _all_names(phi.body) | {phi.var}
 
 
@@ -81,8 +81,7 @@ def _rewrite_atoms(phi, fix):
         out = fix(phi)
         return phi if out is None else out
     if isinstance(phi, (And, Or)):
-        return type(phi)(_rewrite_atoms(phi.left, fix),
-                         _rewrite_atoms(phi.right, fix))
+        return type(phi)(*(_rewrite_atoms(part, fix) for part in phi.parts))
     return type(phi)(phi.var, _rewrite_atoms(phi.body, fix))
 
 
@@ -109,13 +108,12 @@ def const_pushout(phi):
 
 def const_normal_form(phi):
     """exists z1..zn (dep(z1) /\\ ... /\\ dep(zn) /\\ psi) with psi first order."""
-    used = _all_names(phi)
+    fresh = fresh_names(_all_names(phi))
     names = []
 
     def fix(atom):
         if _is_constancy(atom):
-            z = fresh_vars(1, used)[0]
-            used.add(z)
+            z = next(fresh)
             names.append(z)
             return Equality(Name(z), atom.args[0])
         if isinstance(atom, DepAtom):
@@ -394,9 +392,10 @@ def ie_to_eso(phi, vs):
 
     Each team met on the way down the syntax tree is named by one
     membership formula mu: A(vs) for the input team, and W(...) for a
-    relation W bounded by its parent team.  Disjunctions quantify two
-    covering subrelations, existentials a witness relation pairing each
-    row with its chosen values, universals rebind the column directly.
+    relation W bounded by its parent team.  A k-part disjunction
+    quantifies k covering subrelations, one per disjunct, existentials a
+    witness relation pairing each row with its chosen values, universals
+    rebind the column directly.
     Only a quantifier over a team variable wraps mu, in exists old . ...
     Every atom adds one constraint that reads ~mu(v).
     """
@@ -409,12 +408,10 @@ def ie_to_eso(phi, vs):
                              % ", ".join(sorted(missing)))
     prefix = []
     constraints = []
-    used = _all_names(phi) | set(vs)
+    names = fresh_names(_all_names(phi) | set(vs))
 
     def fresh(count):
-        out = fresh_vars(count, used)
-        used.update(out)
-        return out
+        return list(itertools.islice(names, count))
 
     def rel_args(variables):
         return tuple(Name(v) for v in variables)
@@ -453,15 +450,15 @@ def ie_to_eso(phi, vs):
                                             disjoin(parts)))
             return
         if isinstance(sub, And):
-            go(sub.left, mu, variables)
-            go(sub.right, mu, variables)
+            for part in sub.parts:
+                go(part, mu, variables)
             return
         if isinstance(sub, Or):
-            left, right = subteam(variables, mu), subteam(variables, mu)
+            sides = [subteam(variables, mu) for _part in sub.parts]
             constraints.append(forall_block(
-                variables, disjoin([negate_nnf(mu), left, right])))
-            go(sub.left, left, variables)
-            go(sub.right, right, variables)
+                variables, Or(negate_nnf(mu), *sides)))
+            for part, side in zip(sub.parts, sides):
+                go(part, side, variables)
             return
         if isinstance(sub, Exists):
             x = sub.var

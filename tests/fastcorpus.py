@@ -100,20 +100,32 @@ class CorpusEvaluator:
         return vec
 
     def vector(self, phi):
+        if isinstance(phi, (And, Or)):
+            return self._junction(type(phi), phi.parts)
         key = id(phi)
+        cached = self.cache.get(key)
+        if cached is None:
+            cached = self.cache[key] = self._atom_vector(phi)
+        return cached
+
+    def _junction(self, kind, parts):
+        """The vector of the junction of parts, read as the binary junction
+        of all parts but the last with the last.  It is cached per prefix
+        of parts, so a chain that extends one seen before reuses its
+        vector."""
+        key = (kind,) + tuple(id(part) for part in parts)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        if isinstance(phi, And):
-            lv, rv = self.vector(phi.left), self.vector(phi.right)
+        lv = (self.vector(parts[0]) if len(parts) == 2
+              else self._junction(kind, parts[:-1]))
+        rv = self.vector(parts[-1])
+        if kind is And:
             vec = {mask: lv[mask] and rv[mask] for mask in self.masks}
-        elif isinstance(phi, Or):
-            lv, rv = self.vector(phi.left), self.vector(phi.right)
+        else:
             vec = {}
             for mask in self.masks:
                 vec[mask] = any(lv[a] and rv[b] for a, b in self.split[mask])
-        else:
-            vec = self._atom_vector(phi)
         self.cache[key] = vec
         return vec
 

@@ -33,10 +33,18 @@ def _ref_atom_terms(phi):
     return phi.left + phi.right
 
 
+def _head_tail(phi):
+    """A junction of k parts read as the binary junction of its first part
+    and the junction of the others, as the paper states the rules."""
+    head, *tail = phi.parts
+    return head, tail[0] if len(tail) == 1 else type(phi)(*tail)
+
+
 def ref_free_names(phi):
     """Free identifiers, by recursion on the formula."""
     if isinstance(phi, (And, Or)):
-        return ref_free_names(phi.left) | ref_free_names(phi.right)
+        head, tail = _head_tail(phi)
+        return ref_free_names(head) | ref_free_names(tail)
     if isinstance(phi, (Exists, Forall)):
         return ref_free_names(phi.body) - {phi.var}
     return set().union(*(ref_term_names(t) for t in _ref_atom_terms(phi)))
@@ -45,7 +53,8 @@ def ref_free_names(phi):
 def ref_atom_kinds(phi):
     """The classes of the atoms occurring in a formula, by recursion."""
     if isinstance(phi, (And, Or)):
-        return ref_atom_kinds(phi.left) | ref_atom_kinds(phi.right)
+        head, tail = _head_tail(phi)
+        return ref_atom_kinds(head) | ref_atom_kinds(tail)
     if isinstance(phi, (Exists, Forall)):
         return ref_atom_kinds(phi.body)
     return {type(phi)}
@@ -70,9 +79,11 @@ def ref_tarski(model, s, phi):
         same = ref_term(model, s, phi.left) == ref_term(model, s, phi.right)
         return same if phi.positive else not same
     if isinstance(phi, And):
-        return ref_tarski(model, s, phi.left) and ref_tarski(model, s, phi.right)
+        head, tail = _head_tail(phi)
+        return ref_tarski(model, s, head) and ref_tarski(model, s, tail)
     if isinstance(phi, Or):
-        return ref_tarski(model, s, phi.left) or ref_tarski(model, s, phi.right)
+        head, tail = _head_tail(phi)
+        return ref_tarski(model, s, head) or ref_tarski(model, s, tail)
     if isinstance(phi, Exists):
         return any(ref_tarski(model, s.extended(phi.var, m), phi.body)
                    for m in model.domain)
@@ -122,17 +133,19 @@ def ref_sat(model, team, phi, strict=False):
             return not (left & right)
         return left == right
     if isinstance(phi, And):
-        return ref_sat(model, team, phi.left, strict) and \
-            ref_sat(model, team, phi.right, strict)
+        head, tail = _head_tail(phi)
+        return ref_sat(model, team, head, strict) and \
+            ref_sat(model, team, tail, strict)
     if isinstance(phi, Or):
+        head, tail = _head_tail(phi)
         n = len(rows)
         for bits in itertools.product((0, 1, 2) if not strict else (0, 1),
                                       repeat=n):
-            # 0: left only, 1: right only, 2: both (lax overlap)
+            # 0: head only, 1: tail only, 2: both (lax overlap)
             y = [s for s, b in zip(rows, bits) if b in (0, 2)]
             z = [s for s, b in zip(rows, bits) if b in (1, 2)]
-            if ref_sat(model, team.with_rows(y), phi.left, strict) and \
-                    ref_sat(model, team.with_rows(z), phi.right, strict):
+            if ref_sat(model, team.with_rows(y), head, strict) and \
+                    ref_sat(model, team.with_rows(z), tail, strict):
                 return True
         return not rows
     if isinstance(phi, Exists):

@@ -12,7 +12,17 @@ import itertools
 
 from teamlogic.model import subsets, tables
 from teamlogic.semantics import Budget, compiled
-from teamlogic.syntax import flatten_and, symbol_arities
+from teamlogic.syntax import And, symbol_arities
+
+
+def _conjuncts(phi):
+    """The conjuncts of phi, reading And(p1, ..., pk) as p1 /\\ And(p2, ..., pk)."""
+    out = []
+    while isinstance(phi, And):
+        head, *tail = phi.parts
+        out.append(head)
+        phi = tail[0] if len(tail) == 1 else And(*tail)
+    return out + [phi]
 
 
 def _checks(eso):
@@ -22,7 +32,7 @@ def _checks(eso):
     name_pos = {sym.name: i for i, sym in enumerate(eso.prefix)}
     checkpoint = [[] for _sym in eso.prefix]
     upfront = []
-    for c in flatten_and(eso.matrix):
+    for c in _conjuncts(eso.matrix):
         relations, functions = symbol_arities(c)
         used = (relations.keys() | functions.keys()) & name_pos.keys()
         if used:

@@ -68,6 +68,23 @@ def test_check_deep_nesting_is_a_usage_error(capsys):
         assert code == 2 and not out and err.startswith("error:")
 
 
+@pytest.mark.parametrize("op", ["/\\", "\\/"], ids=["and", "or"])
+def test_a_long_chain_is_not_nesting(capsys, tmp_path, op):
+    # A chain of 10,000 parts is one junction, nested one level deep.
+    chain = "(%s)" % (" %s " % op).join(["x = x", "incl(x ; x)"] * 5_000)
+    path = tmp_path / "team.json"
+    path.write_text(json.dumps({"vars": ["x"], "rows": [["0"]]}))
+    code, out, err = run(capsys, "check", "--domain", "0,1",
+                         "forall x . " + chain)
+    assert code == 0 and out.strip() == "sat (lax)" and not err
+    code, out, err = run(capsys, "game", "--domain", "0,1", "--team",
+                         str(path), chain)
+    assert code == 0 and out and not err
+    code, out, err = run(capsys, "translate", "--rule", "ie2eso",
+                         "--team-vars", "x", chain)
+    assert code == 0 and out.startswith("free relation A/1\n") and not err
+
+
 @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
 def test_check_nesting_limit_is_a_parse_rule(capsys, depth):
     for formula in ("exists x . " * depth + "x = x",

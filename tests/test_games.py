@@ -43,6 +43,11 @@ def test_arena_shape_for_connectives():
     assert len(arena.successors[start]) == 2
     quant = arena.successors[start][1]
     assert len(arena.successors[quant]) == len(DOM)
+    # A chain is one junction: one position with a successor per part.
+    arena = build_arena(M2, x, parse("x = y \\/ y = x \\/ exists z . z = x"))
+    (start,) = arena.initial
+    assert arena.turn[start] == PLAYER_II
+    assert [path for path, _s in arena.successors[start]] == [(0,), (1,), (2,)]
 
 
 def test_terminal_winners():
@@ -113,7 +118,7 @@ def test_position_cap():
 
 @pytest.mark.parametrize("text, deterministic, size", [
     ("forall a b c d . (x = a \\/ x != a)", True, 3412),
-    ("forall a b c d . (x = a \\/ x != a \\/ excl(x ; a))", False, 5460),
+    ("forall a b c d . (x = a \\/ x != a \\/ excl(x ; a))", False, 4436),
 ])
 def test_search_over_thousands_of_positions(text, deterministic, size):
     # The solver must not recurse once per position it visits.
@@ -142,14 +147,14 @@ def test_search_spends_a_fixed_number_of_nodes(rows, found, nodes):
 
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_search_propagates_over_a_large_arena(deterministic):
-    # 6,738 positions over 6 values; each leaf row picks a disjunct whose
+    # 5,442 positions over 6 values; each leaf row picks a disjunct whose
     # incl or excl team must still hold.  The search that branched on
-    # every open choice spent 5,047 nodes here in both modes.
+    # every open choice spent 5,047 nodes on this formula in both modes.
     m = Model(tuple("012345"))
     arena = build_arena(
         m, Team.from_tuples(("x",), [(d,) for d in m.domain]),
         parse("forall a b c . (excl(x ; a) \\/ incl(a ; x) \\/ a = b)"))
-    assert len(arena.positions) == 6738
+    assert len(arena.positions) == 5442
     tau = find_uniform_winning(arena, deterministic=deterministic,
                                budget=Budget(1_000))
     assert tau is not None and is_uniform(arena, tau)

@@ -9,12 +9,12 @@ from teamlogic.translate import ESOFormula, SOSymbol, eval_eso, indep_to_ie
 from teamlogic.semantics import (
     Budget, BudgetExceeded, Evaluator, Mode, check_atom, check_dependence,
     check_equiextension, check_exclusion, check_inclusion, check_independence,
-    flatten_and, flatten_or, is_downward_closed, is_union_closed, satisfies,
+    is_downward_closed, is_union_closed, satisfies,
     Verdict, compiled, satisfies_sentence, tarski,
 )
 from teamlogic.syntax import (
     And, App, DepAtom, EquiAtom, Equality, ExclAtom, Exists, Forall, InclAtom,
-    IndepAtom, Name, Or, RelAtom, parse, render,
+    IndepAtom, Name, Or, RelAtom, flatten_and, parse, render,
 )
 
 from budgets import within
@@ -125,6 +125,20 @@ def test_strict_search_over_a_thousand_rows(text):
     rows = list(itertools.product(dom, repeat=2))[:1100]
     verdict = satisfies(Model(dom), team(rows), parse(text), Mode.STRICT)
     assert verdict == Verdict("sat", 1103)
+
+
+@pytest.mark.parametrize("mode", [Mode.LAX, Mode.STRICT])
+@pytest.mark.parametrize("last", ["x != y", "x = y"])
+def test_a_chain_of_ten_thousand_conjuncts_is_decided(mode, last):
+    # A chain is one node, so no walker recurses once per conjunct.
+    parts = ["incl(x ; y)", "dep(x, y)", "(x = x \\/ excl(x ; y))", last]
+    x = team([("0", "1"), ("1", "0")])
+    phi = parse(" /\\ ".join(parts * 2_500))
+    assert len(phi.parts) == 10_000
+    got = within(100, "%d conjuncts, %s" % (len(phi.parts), mode.name),
+                 satisfies, M2, x, phi, mode).is_sat
+    assert got == ref_sat(M2, x, parse(" /\\ ".join(parts)),
+                          strict=mode is Mode.STRICT)
 
 
 # --- the fixture instances as unit facts -----------------------------------
@@ -348,7 +362,7 @@ def test_witness_search_hands_on_only_picks_passing_its_pruners(
 def test_splits_hand_on_only_picks_passing_their_pruners(
         monkeypatch, mode, text, owners):
     phi = parse(text)
-    sides = [flatten_and(side) for side in flatten_or(phi)]
+    sides = [flatten_and(side) for side in phi.parts]
     pruners = [[c for c in sides[i] if isinstance(c, (DepAtom, ExclAtom))]
                for i in owners]
     compound = {c for side in sides for c in side

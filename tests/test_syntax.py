@@ -29,9 +29,9 @@ def test_parse_atoms():
 def test_parse_precedence():
     phi = parse("x = y /\\ y = z \\/ z = x")
     assert isinstance(phi, Or)
-    assert isinstance(phi.left, And)
+    assert isinstance(phi.parts[0], And)
     phi = parse("x = y \\/ y = z \\/ z = x")
-    assert isinstance(phi.left, Or)
+    assert isinstance(phi, Or) and len(phi.parts) == 3
 
 
 def test_parse_quantifiers():
@@ -79,9 +79,31 @@ def test_render_examples():
     for text in ("incl(x ; y) /\\ incl(y ; x)",
                  "indep( ; x ; x)",
                  "forall v . (v = y \\/ excl(x, v ; x, y))",
-                 "exists v . (dep(v) /\\ (v = x /\\ R(x)))",
+                 "exists v . (dep(v) /\\ (v = x \\/ R(x)))",
                  "forall a . exists b c . (a = b \\/ b != c)"):
         assert render(parse(text)) == text
+    # A chain is one node, so brackets inside it are not kept.
+    assert render(parse("x = y /\\ (v = x /\\ R(x))")) == \
+        "x = y /\\ v = x /\\ R(x)"
+
+
+def test_a_chain_is_one_node_whatever_its_bracketing():
+    a, b, c = parse("x = y"), parse("incl(x ; y)"), parse("R(x)")
+    assert And(And(a, b), c) == And(a, And(b, c)) == And(a, b, c)
+    assert Or(Or(a, b), c) == Or(a, Or(b, c)) == Or(a, b, c)
+    assert And(a, b, c).parts == (a, b, c)
+    assert And(Or(a, b), c).parts == (Or(a, b), c)
+    with pytest.raises(ValueError):
+        And(a)
+
+
+def test_long_chains_round_trip():
+    for op in (" /\\ ", " \\/ "):
+        text = "forall x . (%s)" % op.join(["x = x", "R(x)"] * 5_000)
+        phi = parse(text)
+        assert len(phi.body.parts) == 10_000
+        assert render(phi) == text
+        assert parse(render(phi)) == phi
 
 
 def test_symbol_arities_reject_two_arities():

@@ -50,7 +50,7 @@ def assert_equivalent(phi, psi, variables, max_rows=3, model=M2,
 
 def test_const_pushout_displays():
     assert render(const_pushout(parse("dep(x) /\\ R(x)"))) == \
-        "exists _v0 . (dep(_v0) /\\ (_v0 = x /\\ R(x)))"
+        "exists _v0 . (dep(_v0) /\\ _v0 = x /\\ R(x))"
     assert render(const_pushout(parse("dep(x)"))) == \
         "exists _v0 . (dep(_v0) /\\ _v0 = x)"
     with pytest.raises(TranslateError):
@@ -67,7 +67,7 @@ def test_const_normal_form_display_and_equivalence():
     phi = parse("dep(x) /\\ dep(y)")
     nf = const_normal_form(phi)
     assert render(nf) == \
-        "exists _v0 _v1 . (dep(_v0) /\\ dep(_v1) /\\ (_v0 = x /\\ _v1 = y))"
+        "exists _v0 _v1 . (dep(_v0) /\\ dep(_v1) /\\ _v0 = x /\\ _v1 = y)"
     assert_equivalent(phi, nf, ("x", "y"))
     fo = parse("x = y")
     assert const_normal_form(fo) == fo
@@ -235,12 +235,12 @@ def test_compile_rewrites_each_translation_before_moving_on():
     assert render(out) == (
         "forall _v0 . exists _v1 _v2 . (indep(_v0 ; _v1 ; _v1) /\\ "
         "indep(_v0 ; _v2 ; _v2) /\\ (_v1 = _v2 /\\ _v0 != x \\/ "
-        "_v1 != _v2 /\\ _v0 != y)) /\\ (forall _v3 _v4 _v5 . "
+        "_v1 != _v2 /\\ _v0 != y)) /\\ forall _v3 _v4 _v5 . "
         "(_v5 != x /\\ _v5 != y \\/ _v3 != _v4 /\\ _v5 != y \\/ "
         "(_v3 = _v4 \\/ _v5 = y) /\\ indep( ; _v5 ; _v3, _v4)) /\\ "
         "forall _v6 _v7 _v8 . (_v8 != y /\\ _v8 != x \\/ "
         "_v6 != _v7 /\\ _v8 != x \\/ (_v6 = _v7 \\/ _v8 = x) /\\ "
-        "indep( ; _v8 ; _v6, _v7)))")
+        "indep( ; _v8 ; _v6, _v7))")
 
 
 def test_zero_width_atoms_have_no_tuple_translation():
@@ -495,6 +495,23 @@ def test_ie_to_eso_matches_lax_satisfaction():
             assert got == want, (text, team)
 
 
+def test_ie_to_eso_gives_each_disjunct_one_subteam():
+    # A k-part disjunction is one split of the team into k parts: k
+    # bounded relations and one constraint that they cover the team.
+    vs = ("x", "y")
+    phi = parse("incl(x ; y) \\/ excl(x ; y) \\/ x = y")
+    eso = ie_to_eso(phi, vs)
+    assert [(sym.name, sym.bound) for sym in eso.prefix] == [
+        (name, (vs, parse("A(x, y)"))) for name in ("W1", "W2", "W3")]
+    assert render(flatten_and(eso.matrix)[0]) == \
+        "forall x y . (~A(x, y) \\/ W1(x, y) \\/ W2(x, y) \\/ W3(x, y))"
+    for team in all_teams(vs, DOM, max_rows=3):
+        a = _team_relation(team, vs)
+        got = eval_eso(M2, eso, a)
+        assert got == ref_eval_eso(M2, eso, a), team
+        assert got == satisfies(M2, team, phi, Mode.LAX).is_sat, team
+
+
 _vars = st.sampled_from(("x", "y", "z"))
 _var_pairs = st.tuples(_vars.map(Name), _vars.map(Name))
 _nested = st.recursive(
@@ -517,6 +534,20 @@ _WIDE = compile_atoms(parse(
     {"incl", "excl"})
 
 
+def _cover_sides(constraint, subteams):
+    """The W atoms of forall vs . (~mu \\/ W1 \\/ ... \\/ Wk), else None."""
+    body = constraint
+    while isinstance(body, Forall):
+        body = body.body
+    if not isinstance(body, Or):
+        return None
+    sides = body.parts[1:]
+    if all(isinstance(w, RelAtom) and w.positive and w.name in subteams
+           for w in sides):
+        return sides
+    return None
+
+
 @settings(deadline=None)
 @given(_nested)
 @example(_WIDE)
@@ -524,13 +555,25 @@ _WIDE = compile_atoms(parse(
                "\\/ exists y . (incl(y ; x) \\/ excl(z ; y))))"))
 def test_ie_to_eso_names_each_team_by_one_atom(phi):
     # A membership formula copied into every constraint would grow by a
-    # conjunct at each disjunction and existential on the way down.
+    # conjunct at each disjunction and existential on the way down.  The
+    # cover constraint of a k-part disjunction reads its team and its k
+    # subteams, one constraint per disjunction.
     eso = ie_to_eso(phi, sorted(phi.free))
-    teams = {eso.free_relation} | {sym.name for sym in eso.prefix}
+    subteams = {sym.name for sym in eso.prefix}
+    teams = subteams | {eso.free_relation}
+    covers = []
     for c in flatten_and(eso.matrix):
         atoms = [a for _path, a in subformula_instances(c)
                  if isinstance(a, RelAtom) and a.name in teams]
-        assert len(atoms) <= 3, render(c)
+        sides = _cover_sides(c, subteams)
+        if sides is None:
+            assert len(atoms) <= 3, render(c)
+        else:
+            assert len(atoms) == len(sides) + 1, render(c)
+            covers.append(len(sides))
+    assert sorted(covers) == sorted(
+        len(sub.parts) for _path, sub in subformula_instances(phi)
+        if isinstance(sub, Or))
 
 
 def test_ie_to_eso_leaves_no_reference_cycle():

@@ -26,6 +26,16 @@ counterexamples with no more search nodes when their outputs differ in
 no outcome or digest and in no node count upwards, which one diff
 shows.  Set PYTHONHASHSEED to make the node counts repeat exactly: set
 iteration order decides how soon some searches stop.
+
+With --totals the script prints one line per workload and query kind
+instead, in the order the kinds first occur:
+
+    workload kind queries=N nodes=SUM outcome=COUNT ...
+
+with the outcomes in sorted order; an outcome longer than 40
+characters (the dependency violations) is counted under the first 12
+hex digits of its SHA-1.  Equal totals show in a short diff that two
+checkouts spend the same nodes per kind on the same verdicts.
 """
 
 import argparse
@@ -44,6 +54,9 @@ def main():
     parser.add_argument("--seeds", default="1", help="comma-separated seeds")
     parser.add_argument("--rounds", type=int, default=1,
                         help="rounds per workload and seed")
+    parser.add_argument("--totals", action="store_true",
+                        help="print the query count, outcome counts and "
+                             "node sum per workload and query kind")
     args = parser.parse_args()
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("perfbench", "src", "tests")]
     import workloads
@@ -83,6 +96,7 @@ def main():
     dbdeps.derive = derive_noted
     dbdeps.semantic_implies = implies_noted
     fixtures = os.path.join(ROOT, "fixtures")
+    totals = {}  # (workload, kind) -> [queries, nodes, {outcome: count}]
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
             stream = workloads.Stream(workload, seed, fixtures)
@@ -94,12 +108,28 @@ def main():
                     fields = [workload, seed, index, q.kind,
                               "".join(repr(outcome).split()),
                               budgets[-1].nodes if budgets else nodes]
+                    if args.totals:
+                        total = totals.setdefault((workload, q.kind),
+                                                  [0, 0, {}])
+                        total[0] += 1
+                        total[1] += fields[5]
+                        text = fields[4]
+                        if len(text) > 40:
+                            text = _digest(text)
+                        total[2][text] = total[2].get(text, 0) + 1
+                        continue
                     if q.op in ("game", "derive", "implies") and found:
                         text = found[-1]
-                        fields.append("-" if text is None else hashlib.sha1(
-                            text.encode()).hexdigest()[:12])
+                        fields.append("-" if text is None else _digest(text))
                     print(*fields)
+    for (workload, kind), (queries, nodes, outcomes) in totals.items():
+        print(workload, kind, "queries=%d" % queries, "nodes=%d" % nodes,
+              *("%s=%d" % item for item in sorted(outcomes.items())))
     return 0
+
+
+def _digest(text):
+    return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
 if __name__ == "__main__":

@@ -33,12 +33,15 @@ core the evaluator layers several exact shortcuts:
 * every search whose buckets are teams (the witness search and both
   splits of a disjunction) prunes a bucket as it grows by the
   downward-closed conjuncts of the bucket's formula, through one
-  _Pruner: dep and excl atoms on the pairs of rows that involve a new
-  row, since the rows picked before already passed, and compound
-  conjuncts over {FO, dep, excl} on the whole bucket.  A side of a split
+  _Pruner: dep and excl atoms on each new row against value indexes of
+  the rows picked before, which already passed, and compound conjuncts
+  over {FO, dep, excl} on the whole bucket.  A side of a split
   whose formula the pruner covers is not evaluated again once complete,
   and a lax side whose formula is downward closed is evaluated on its
-  bucket alone, since no larger team can satisfy it instead.
+  bucket alone, since no larger team can satisfy it instead;
+* the per-row witness search of an existential builds each row's
+  options once per evaluator, so an existential met again at every leaf
+  of an enclosing search reuses them.
 
 Every shortcut is also covered by a test against a rule-by-rule
 reference evaluator.
@@ -333,18 +336,24 @@ class _Pruner:
     both modes, so a bucket failing such a conjunct of its formula stays
     failed whatever rows are added.  A leading existential block is
     peeled first; conjuncts mentioning its variables are left to the
-    full evaluation.  Flat conjuncts are the searches' per-row filters;
-    dep and excl atoms are checked only on the pairs of rows that involve
-    a new row, each new row meeting itself too (excl(x ; x) fails on one
-    row); compound downward-closed conjuncts are evaluated on the whole
+    full evaluation.  Flat conjuncts are the searches' per-row filters.
+    dep and excl atoms are checked on each new row against value indexes
+    of the bucket's rows, the new row itself included (excl(x ; x) fails
+    on one row), so a step costs the same whatever the bucket's size:
+    per dep atom the rows are counted by determinant value and by
+    determinant and dependent value, and a new row fails when its
+    determinant value is there with another dependent value; per excl
+    atom the left and the right values are counted, and a new row fails
+    when its left value is a right value or the other way round.
+    Compound downward-closed conjuncts are evaluated on the whole
     bucket.  `covers` says that these conjuncts make up the whole
     formula, so a complete bucket of filtered rows that passed at every
     step satisfies it; `closed` says that the whole formula is downward
     closed, so a bucket that fails it has no satisfying superset.
     """
 
-    def __init__(self, evaluator, phi, variables):
-        self.evaluator = evaluator
+    def __init__(self, model, phi, variables):
+        self.model = model
         self.variables = variables
         self.closed = is_downward_closed(phi)
         block = set()
@@ -361,42 +370,57 @@ class _Pruner:
                          and is_downward_closed(c)]
         self.covers = not block and len(conjuncts) == (
             len(self.flat) + len(atoms) + len(self.compound))
-        # Each atom reads a pair of term tuples per row, computed once per
-        # search.  `checked` lists the bucket's columns in bucket order;
-        # _backtrack adds and drops rows in stack order, so cutting it
-        # back to the rows before the newest option keeps it in step.
+        # Each atom reads a pair of index keys per row, computed once per
+        # pruner: (determinant, (determinant, dependent)) for dep, (left,
+        # right) for excl.  `index` holds a pair of key counts per atom,
+        # over the rows whose keys `checked` lists in bucket order; a key
+        # counted down to 0 stays, and reads as absent.  _backtrack adds
+        # and drops rows in stack order, so uncounting the rows past those
+        # before the newest option keeps both in step, also when a bucket
+        # holds one row twice.
         self.deps = [isinstance(c, DepAtom) for c in atoms]
         self.heads = [(c.args[:-1], c.args[-1:]) if dep else (c.left, c.right)
                       for c, dep in zip(atoms, self.deps)]
+        self.index = [({}, {}) for _ in atoms]
         self.columns = {}
         self.checked = []
 
     def _column(self, row):
-        col = self.columns.get(row)
-        if col is None:
-            model = self.evaluator.model
-            col = self.columns[row] = [
-                (tuple(eval_term(model, row, t) for t in left),
-                 tuple(eval_term(model, row, t) for t in right))
-                for left, right in self.heads]
+        model = self.model
+        col = self.columns[row] = []
+        for dep, (left, right) in zip(self.deps, self.heads):
+            a = tuple(eval_term(model, row, t) for t in left)
+            b = tuple(eval_term(model, row, t) for t in right)
+            col.append((a, (a, b)) if dep else (a, b))
         return col
 
-    def __call__(self, bucket, new):
+    def __call__(self, evaluator, bucket, new):
         """Whether the bucket, whose last `new` rows were just added, may
-        still grow into a team satisfying the formula."""
+        still grow into a team satisfying the formula.
+
+        The evaluator is passed in, not kept, so that an evaluator caching
+        a pruner forms no reference cycle and is freed when dropped."""
         if self.heads:
-            checked = self.checked
-            del checked[len(bucket) - new:]
-            checked.extend(self._column(row) for row in bucket[-new:])
-            for mine in checked[-new:]:
-                for theirs in checked:
-                    for dep, (a, b), (c, d) in zip(self.deps, mine, theirs):
-                        if (a == c and b != d) if dep else (a == d or c == b):
-                            return False
+            checked, index = self.checked, self.index
+            kept = len(bucket) - new
+            while len(checked) > kept:
+                for (first, second), (a, b) in zip(index, checked.pop()):
+                    first[a] -= 1
+                    second[b] -= 1
+            for row in bucket[kept:]:
+                col = self.columns.get(row) or self._column(row)
+                for dep, (first, second), (a, b) in zip(self.deps, index, col):
+                    if (first.get(a) and not second.get(b)) if dep \
+                            else (a == b or second.get(a) or first.get(b)):
+                        return False
+                for (first, second), (a, b) in zip(index, col):
+                    first[a] = first.get(a, 0) + 1
+                    second[b] = second.get(b, 0) + 1
+                checked.append(col)
         if not self.compound:
             return True
         partial = Team(self.variables, bucket)
-        return all(self.evaluator.sat(c, partial) for c in self.compound)
+        return all(evaluator.sat(c, partial) for c in self.compound)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +428,16 @@ class _Pruner:
 
 
 class Evaluator:
+    """Team satisfaction in one mode over one model, for one query.
+
+    Its caches live as long as the evaluator and die with it, so nothing
+    is shared between satisfies calls: `_memo` maps (formula, columns,
+    rows) to the verdict of sat, `_maxsub_memo` the same to the greatest
+    satisfying subteam, and `_slots` maps an existential's variable, body
+    and new columns to its witness pruner and to each row's witness
+    options (see _sat_exists_one).
+    """
+
     def __init__(self, model, mode=Mode.LAX, budget=None):
         self.model = model
         self.mode = mode
@@ -411,6 +445,7 @@ class Evaluator:
         self.tick = self.budget.tick
         self._memo = {}
         self._maxsub_memo = {}
+        self._slots = {}
 
     # -- entry point --------------------------------------------------------
 
@@ -572,7 +607,7 @@ class Evaluator:
             if tests is None:
                 tests = touched[pos][i] = checks(option)
             for prune, rows, new in tests:
-                if not prune(rows, new):
+                if not prune(self, rows, new):
                     break
             else:
                 self.tick()
@@ -632,7 +667,7 @@ class Evaluator:
                 return False
             slots.append(opts)
         slots.sort(key=len)
-        pruners = [_Pruner(self, body, team.variables) for _idx, body in special]
+        pruners = [_Pruner(self.model, body, team.variables) for _idx, body in special]
 
         def holds(idx, body, prune, bucket):
             if prune.covers or not bucket:
@@ -661,7 +696,7 @@ class Evaluator:
     def _sat_or_strict(self, sides, eligible, team, rows):
         slots = sorted(([((i, row),) for i, elig in enumerate(eligible) if row in elig]
                         for row in rows), key=len)
-        pruners = [None if body is None else _Pruner(self, body, team.variables)
+        pruners = [None if body is None else _Pruner(self.model, body, team.variables)
                    for _flat, body in sides]
         return self._backtrack(
             slots, pruners,
@@ -846,7 +881,7 @@ class Evaluator:
         forced = {}
         for i, (_flat, body) in enumerate(sides):
             if body is not None and not is_union_closed(body):
-                prune = _Pruner(self, body, team.variables)
+                prune = _Pruner(self.model, body, team.variables)
                 if prune.heads or prune.compound:
                     forced[i] = len(pruners)
                     pruners.append(prune)
@@ -907,23 +942,44 @@ class Evaluator:
         return options
 
     def _sat_exists_one(self, var, rest, team):
-        model = self.model
+        """Per-row witness search: a value (strict) or a nonempty value set
+        (lax) for each row, under the pruner of the body.
+
+        A row's options are its extensions that pass the pruner's flat
+        conjuncts, taken singly or as sets.  They depend on the row and
+        on (var, rest, columns) only, so they are built once per
+        evaluator and reused, with the pruner and its columns, whenever
+        the same existential meets the row again.  No search over them
+        runs inside another: the leaf and the pruner evaluate only proper
+        subformulas of rest.
+        """
         new_vars = team.variables if var in team.variables else team.variables + (var,)
-        prune = _Pruner(self, rest, new_vars)
+        key = (var, rest, new_vars)
+        cached = self._slots.get(key)
+        if cached is None:
+            cached = self._slots[key] = (_Pruner(self.model, rest, new_vars), {})
+        prune, options = cached
         slots = []
         for row in team.sorted_rows():
-            cand = [ext for ext in (row.extended(var, m) for m in model.domain)
-                    if all(tarski(model, ext, c) for c in prune.flat)]
-            if not cand:
+            opts = options.get(row)
+            if opts is None:
+                opts = options[row] = self._witness_options(row, var, prune.flat)
+            if not opts:
                 return False
-            picks = subsets(cand, 1, 1 if self.mode is Mode.STRICT else None)
-            slots.append([tuple((0, ext) for ext in exts) for exts in picks])
+            slots.append(opts)
         slots.sort(key=len)
         # The leaf checks the whole body even when the pruner covers it:
         # then the first leaf reached passes and ends the search.
         return self._backtrack(
             slots, [prune],
             lambda extended: self.sat(rest, Team(new_vars, extended[0])))
+
+    def _witness_options(self, row, var, flat):
+        model = self.model
+        cand = [ext for ext in (row.extended(var, m) for m in model.domain)
+                if all(tarski(model, ext, c) for c in flat)]
+        picks = subsets(cand, 1, 1 if self.mode is Mode.STRICT else None)
+        return [tuple((0, ext) for ext in exts) for exts in picks]
 
 
 def _conjunct_cost(phi):

@@ -41,6 +41,18 @@ def _names_of_terms(terms):
     return out
 
 
+def _draw(count, terms, fresh):
+    """The names for count new variables of an atom's translation.
+
+    fresh is an iterator of unused names, which compile threads through
+    every rule it applies; by default the names are the first count of
+    _v0, _v1, ... outside the names of the atom's terms.
+    """
+    if fresh is None:
+        fresh = fresh_names(_names_of_terms(terms))
+    return list(itertools.islice(fresh, count))
+
+
 def _all_names(phi):
     """Every identifier occurring in a formula, bound or free."""
     if isinstance(phi, ATOMS):
@@ -156,18 +168,18 @@ def dep_to_indep(terms):
     return IndepAtom(terms[:-1], (terms[-1],), (terms[-1],))
 
 
-def dep_to_exc(terms, avoid=()):
+def dep_to_exc(terms, fresh=None):
     terms = tuple(terms)
-    z = fresh_vars(1, _names_of_terms(terms) | set(avoid))[0]
+    z, = _draw(1, terms, fresh)
     left = terms[:-1] + (Name(z),)
     return Forall(z, Or(Equality(Name(z), terms[-1]),
                         ExclAtom(left, terms)))
 
 
-def exc_to_dep(t1s, t2s, avoid=()):
+def exc_to_dep(t1s, t2s, fresh=None):
     t1s, t2s = tuple(t1s), tuple(t2s)
     width = len(t1s)
-    names = fresh_vars(width + 2, _names_of_terms(t1s + t2s) | set(avoid))
+    names = _draw(width + 2, t1s + t2s, fresh)
     zs, (u1, u2) = names[:width], names[width:]
     zterms = tuple(Name(z) for z in zs)
     body = conjoin([
@@ -185,10 +197,10 @@ def equi_to_inc(t1s, t2s):
     return And(InclAtom(t1s, t2s), InclAtom(t2s, t1s))
 
 
-def inc_to_equi(t1s, t2s, avoid=()):
+def inc_to_equi(t1s, t2s, fresh=None):
     t1s, t2s = tuple(t1s), tuple(t2s)
     width = len(t1s)
-    names = fresh_vars(2 + width, _names_of_terms(t1s + t2s) | set(avoid))
+    names = _draw(2 + width, t1s + t2s, fresh)
     (u1, u2), zs = names[:2], names[2:]
     zterms = tuple(Name(z) for z in zs)
     body = And(EquiAtom(t2s, zterms),
@@ -197,10 +209,10 @@ def inc_to_equi(t1s, t2s, avoid=()):
     return forall_block([u1, u2], exists_block(zs, body))
 
 
-def inc_to_indep(t1s, t2s, avoid=()):
+def inc_to_indep(t1s, t2s, fresh=None):
     t1s, t2s = tuple(t1s), tuple(t2s)
     width = len(t1s)
-    names = fresh_vars(2 + width, _names_of_terms(t1s + t2s) | set(avoid))
+    names = _draw(2 + width, t1s + t2s, fresh)
     (v1, v2), zs = names[:2], names[2:]
     zterms = tuple(Name(z) for z in zs)
     first = And(tuple_unequal(zterms, t1s), tuple_unequal(zterms, t2s))
@@ -211,11 +223,10 @@ def inc_to_indep(t1s, t2s, avoid=()):
     return forall_block([v1, v2] + zs, disjoin([first, second, third]))
 
 
-def indep_to_ie(t1s, t2s, t3s, avoid=()):
+def indep_to_ie(t1s, t2s, t3s, fresh=None):
     t1s, t2s, t3s = tuple(t1s), tuple(t2s), tuple(t3s)
     w1, w2, w3 = len(t1s), len(t2s), len(t3s)
-    names = fresh_vars(w1 + w2 + w3 + 4,
-                       _names_of_terms(t1s + t2s + t3s) | set(avoid))
+    names = _draw(w1 + w2 + w3 + 4, t1s + t2s + t3s, fresh)
     ps = names[:w1]
     qs = names[w1:w1 + w2]
     rs = names[w1 + w2:w1 + w2 + w3]
@@ -245,26 +256,26 @@ _ATOM_KIND = {DepAtom: "dep", IndepAtom: "indep", InclAtom: "incl",
               ExclAtom: "excl", EquiAtom: "equi"}
 
 
-def _rewrite_atom(atom, target, avoid):
+def _rewrite_atom(atom, target, fresh):
     if isinstance(atom, DepAtom):
         if "excl" in target:
-            return dep_to_exc(atom.args, avoid)
+            return dep_to_exc(atom.args, fresh)
         if "indep" in target:
             return dep_to_indep(atom.args)
     if isinstance(atom, ExclAtom):
         if "dep" in target or "indep" in target:
-            return exc_to_dep(atom.left, atom.right, avoid)
+            return exc_to_dep(atom.left, atom.right, fresh)
     if isinstance(atom, EquiAtom):
         if "incl" in target or "indep" in target:
             return equi_to_inc(atom.left, atom.right)
     if isinstance(atom, InclAtom):
         if "equi" in target:
-            return inc_to_equi(atom.left, atom.right, avoid)
+            return inc_to_equi(atom.left, atom.right, fresh)
         if "indep" in target:
-            return inc_to_indep(atom.left, atom.right, avoid)
+            return inc_to_indep(atom.left, atom.right, fresh)
     if isinstance(atom, IndepAtom):
         if "incl" in target and "excl" in target:
-            return indep_to_ie(atom.cond, atom.left, atom.right, avoid=avoid)
+            return indep_to_ie(atom.cond, atom.left, atom.right, fresh)
     raise TranslateError("no translation path from %s atoms to {%s}"
                          % (_ATOM_KIND[type(atom)], ", ".join(sorted(target))))
 
@@ -277,17 +288,16 @@ def compile(phi, target):
     a downward-closed target ({dep, excl} subsets) and raise.
     """
     target = set(target)
-    # No translation drops a term of its atom, so the names seen so far
-    # are exactly the names of the formula rewritten so far.
-    used = _all_names(phi)
+    # Every name a translation adds is drawn from this one iterator, so
+    # the names outside phi's own are each drawn once, in order: the
+    # first names unused so far, at O(1) per name.
+    fresh = fresh_names(_all_names(phi))
 
     def fix(atom):
         kind = _ATOM_KIND.get(type(atom))
         if kind is None or kind in target:
             return None
-        replacement = _rewrite_atom(atom, target, used)
-        used.update(_all_names(replacement))
-        return _rewrite_atoms(replacement, fix)
+        return _rewrite_atoms(_rewrite_atom(atom, target, fresh), fix)
 
     return _rewrite_atoms(phi, fix)
 

@@ -48,3 +48,29 @@ def test_untraced_run_reports_every_end_to_end_metric(workload):
     missing = [m["name"] for m in BENCHMARK["end_to_end"]
                if m["name"] not in result["metrics"]]
     assert missing == []
+
+
+def test_replay_totals_add_up_the_per_query_lines():
+    # scripts/replay_verdicts.py --totals folds the per-query lines into
+    # one line per workload and query kind.
+    def replay(*extra):
+        proc = subprocess.run(
+            [sys.executable, "scripts/replay_verdicts.py", "--workloads",
+             "check-strict", "--seeds", "1", *extra],
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [line.split() for line in proc.stdout.splitlines()]
+
+    want = {}
+    for workload, _seed, _round, kind, outcome, nodes in replay():
+        queries, total, outcomes = want.setdefault((workload, kind),
+                                                   (0, 0, {}))
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        want[workload, kind] = (queries + 1, total + int(nodes), outcomes)
+    got = {}
+    for workload, kind, queries, nodes, *outcomes in replay("--totals"):
+        got[workload, kind] = (
+            int(queries.removeprefix("queries=")),
+            int(nodes.removeprefix("nodes=")),
+            {o: int(n) for o, n in (item.rsplit("=", 1) for item in outcomes)})
+    assert got == want and len(got) > 1

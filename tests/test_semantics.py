@@ -22,6 +22,7 @@ from oracles import ref_sat, ref_tarski
 
 DOM = ("0", "1")
 M2 = Model(DOM)
+M3 = Model(("0", "1", "2"))
 
 
 def team(pairs, variables=("x", "y")):
@@ -259,12 +260,30 @@ def test_lax_quantifier_over_an_unread_variable(text, status):
 # Witness searches whose atom pruners cut picks: a lax value set that
 # breaks dep on its own rows, an overwriting exists x that maps two rows
 # of a bucket to one, and a lax value set whose earlier values can clash
-# with an old row under excl where its last value does not.
+# with an old row under excl where its last value does not.  Then the
+# value indexes behind the atom pruners: an overwriting exists x whose
+# picks put one row into a bucket twice, so that undoing one copy must
+# leave the other counted; a dep atom whose determinant is a tuple of a
+# team column and the new one; and an excl atom between two tuples.
 PRUNED_WITNESSES = [
     (Mode.LAX, "exists z . (dep(x, z) /\\ incl(y ; z))"),
     (Mode.STRICT, "exists x . (excl(x ; y) /\\ dep(y, x))"),
     (Mode.LAX, "exists z . (excl(z ; x) /\\ incl(y ; z))"),
+    (Mode.STRICT, "exists x . (dep(y, x) /\\ incl(x ; y) /\\ x != y)"),
+    (Mode.LAX, "exists z . (dep(x, z, y) /\\ z != y /\\ incl(y ; z))"),
+    (Mode.STRICT, "exists x . (excl(x, y ; y, x) /\\ incl(y ; x))"),
 ]
+
+# The benchmark's strict exc_to_dep text for excl(x ; y), as frozen in
+# perfbench/frozen.py: an exists block under a forall, whose inner exists
+# meets the same rows again at every leaf of the outer witness search.
+EXC_TO_DEP = ("forall _v0 . exists _v1 _v2 . (dep(_v0, _v1) /\\ dep(_v0, _v2)"
+              " /\\ (_v1 = _v2 /\\ _v0 != x \\/ _v1 != _v2 /\\ _v0 != y))")
+
+# Cases decided over three elements, where the reference evaluator cannot
+# enumerate the translation's witness functions; it decides the source
+# atom instead.
+SOURCE_ATOMS = {EXC_TO_DEP: "excl(x ; y)"}
 
 # Splits of a disjunction whose sides the pruners cut, with the sides
 # that own the search's buckets, in bucket order: every side of a strict
@@ -311,6 +330,17 @@ SEARCH_PATHS = [
     # a row with two sides, one of them pruned, must not be forced to it
     ("_sat_exists_pinned", Mode.LAX,
      "exists u . (dep(x, u) /\\ (x = y \\/ u = x /\\ excl(x ; y)))"),
+    # nested witness searches sharing their slots and pruners (see
+    # EXC_TO_DEP), over three elements
+    ("_sat_exists_one", Mode.STRICT, EXC_TO_DEP),
+    # one variable under two bodies, and one body over two sets of
+    # columns, in one query: the slots and pruners kept for one must not
+    # serve the other
+    ("_sat_exists_one", Mode.STRICT,
+     "exists z . (z = x /\\ dep(y, z)) /\\ exists z . (z != x /\\ dep(y, z))"),
+    ("_sat_exists_one", Mode.STRICT,
+     "exists z . (z != x /\\ (dep(z) \\/ excl(z ; y))) /\\ "
+     "forall w . exists z . (z != x /\\ (dep(z) \\/ excl(z ; y)))"),
 ]
 
 
@@ -326,12 +356,36 @@ def test_search_path_matches_reference(monkeypatch, method, mode, text):
 
     monkeypatch.setattr(Evaluator, method, spy)
     phi = parse(text)
+    model, reference = (M3, parse(SOURCE_ATOMS[text])) if text in SOURCE_ATOMS \
+        else (M2, phi)
     verdicts = set()
-    for x in all_teams(("x", "y"), DOM, max_rows=3):
-        got = satisfies(M2, x, phi, mode).is_sat
-        assert got == ref_sat(M2, x, phi, strict=mode is Mode.STRICT), x
+    for x in all_teams(("x", "y"), model.domain, max_rows=3):
+        got = satisfies(model, x, phi, mode).is_sat
+        assert got == ref_sat(model, x, reference,
+                              strict=mode is Mode.STRICT), x
         verdicts.add(got)
     assert any(decided) and verdicts == {True, False}
+
+
+def test_witness_search_builds_each_extension_once_per_evaluator(monkeypatch):
+    # The inner exists of EXC_TO_DEP meets the same rows at every leaf of
+    # the outer witness search: 486 extensions were built for its 54
+    # distinct (row, value) pairs before its options were kept per
+    # evaluator.  The verdict and the node count did not change.
+    built = []
+    extended = Assignment.extended
+
+    def spy(self, var, value):
+        built.append((self, var, value))
+        return extended(self, var, value)
+
+    monkeypatch.setattr(Assignment, "extended", spy)
+    verdict = satisfies(M3, team([("0", "1"), ("1", "0")]), parse(EXC_TO_DEP),
+                        Mode.STRICT)
+    assert verdict == Verdict("unsat", 231)
+    inner = [b for b in built if b[1] == "_v2"]
+    assert len(inner) == len(set(inner)) == 54
+    assert len(built) == len(set(built))
 
 
 @pytest.mark.parametrize("mode, text", PRUNED_WITNESSES)
@@ -351,10 +405,9 @@ def test_witness_search_hands_on_only_picks_passing_its_pruners(
 
     # On three elements a new row can clash with an old one in either
     # direction of excl without clashing with itself.
-    m3 = Model(("0", "1", "2"))
     monkeypatch.setattr(Evaluator, "sat", spy)
-    for x in all_teams(("x", "y"), m3.domain, max_rows=3):
-        satisfies(m3, x, phi, mode)
+    for x in all_teams(("x", "y"), M3.domain, max_rows=3):
+        satisfies(M3, x, phi, mode)
     assert judged
 
 

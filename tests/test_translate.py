@@ -243,6 +243,45 @@ def test_compile_rewrites_each_translation_before_moving_on():
         "indep( ; _v8 ; _v6, _v7))")
 
 
+def test_compile_output_is_pinned_on_a_three_atom_chain():
+    # Nested rewrites: indep -> {incl, excl} emits dep atoms, each drawing
+    # its own name before the chain's last atom draws.
+    out = compile_atoms(parse("dep(x, y) /\\ indep(x ; y ; y) /\\ dep(y, x)"),
+                        frozenset({"incl", "excl"}))
+    assert render(out) == (
+        "forall _v0 . (_v0 = y \\/ excl(x, _v0 ; x, y)) /\\ "
+        "forall _v1 _v2 _v3 . exists _v4 _v5 _v6 _v7 . ("
+        "forall _v8 . (_v8 = _v4 \\/ excl(_v1, _v2, _v3, _v8 ; _v1, _v2, _v3, _v4)) /\\ "
+        "forall _v9 . (_v9 = _v5 \\/ excl(_v1, _v2, _v3, _v9 ; _v1, _v2, _v3, _v5)) /\\ "
+        "forall _v10 . (_v10 = _v6 \\/ excl(_v1, _v2, _v3, _v10 ; _v1, _v2, _v3, _v6)) /\\ "
+        "forall _v11 . (_v11 = _v7 \\/ excl(_v1, _v2, _v3, _v11 ; _v1, _v2, _v3, _v7)) /\\ "
+        "(_v4 != _v5 /\\ excl(_v1, _v2 ; x, y) \\/ "
+        "_v4 = _v5 /\\ _v6 != _v7 /\\ excl(_v1, _v3 ; x, y) \\/ "
+        "_v4 = _v5 /\\ _v6 = _v7 /\\ incl(_v1, _v2, _v3 ; x, y, y))) /\\ "
+        "forall _v12 . (_v12 = x \\/ excl(y, _v12 ; y, x))")
+
+
+@pytest.mark.parametrize("atoms", [1000, 2000])
+def test_compile_examines_each_candidate_name_once(monkeypatch, atoms):
+    # One iterator of fresh names serves the whole chain, and it looks at
+    # each candidate name once, so compile is linear in the atom count.
+    # The chain names _v1 itself, which the iterator must pass over.
+    made, examined = [], []
+
+    def counting_names(avoid):
+        made.append(avoid)
+        for name in map("_v%d".__mod__, itertools.count()):
+            examined.append(name)
+            if name not in avoid:
+                yield name
+
+    monkeypatch.setattr(translate, "fresh_names", counting_names)
+    phi = conjoin([parse("dep(x, _v1)")] * atoms)
+    out = compile_atoms(phi, frozenset({"incl", "excl"}))
+    assert len(made) == 1 and len(examined) == atoms + 1
+    assert [c.var for c in flatten_and(out)][:3] == ["_v0", "_v2", "_v3"]
+
+
 def test_zero_width_atoms_have_no_tuple_translation():
     for rewrite in (exc_to_dep, inc_to_equi, inc_to_indep):
         with pytest.raises(TranslateError):
